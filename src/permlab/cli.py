@@ -385,7 +385,7 @@ SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     runner, default_scale = SUITES[args.suite]
     scale = args.deg if args.deg is not None else (args.n if args.n is not None else default_scale)
-    if args.suite in ("conjecture", "recurrences", "bijection", "inversion"):
+    if args.suite in ("conjecture", "recurrences", "bijection"):
         scale = min(scale, _brute_cap(args.big))
     t0 = time.time()
     checks = runner(scale)

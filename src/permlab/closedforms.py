@@ -327,7 +327,9 @@ def _build_aminus_w1_1243_1423() -> ClearedForm:
     return _form("aminus_w1_1243_1423", ("v", ""), p, ((q, r),), dn, 2)
 
 
+@lru_cache(maxsize=None)
 def _joint_parts_1243_1342() -> dict[str, ClearedForm]:
+    # seven registry names share these four forms: build them once
     x, v, w = _xyz()
     r1 = (v * w * x) ** 2 - 6 * v * w * x + 1
     dn_p = 2 * (1 - v + w * x * (v - 2)) * (1 - 2 * v * w - x * (1 - v * w))

@@ -1,366 +1,252 @@
-"""Hot enumeration loops, compiled with numba when available.
+"""Enumeration kernels: one prefix walk over pattern avoiders, and its consumers.
 
-Every kernel is a self-contained function over numpy arrays: no big ints,
-no Python objects, no calls into other kernels (numba resolves globals at
-compile time, so cross-calls would pin us to a single dispatch mode).  The
-price is some repetition of the lexicographic DFS skeleton and of the
-4-letter pattern test; the benefit is that each function compiles in
-isolation and the pure-Python twin is byte-for-byte the same code.
+Everything here is plain Python over ints and lists; numpy appears only in
+the count arrays the censuses return.  Patterns are sequences holding a
+permutation of 1..4 (tuples, lists or numpy arrays all work); the walk's
+permutations are lists of 1-based values.
 
-Selection: by default each public name is the numba-compiled version.  Set
-``PERMLAB_PURE=1`` in the environment (before import) to force the plain
-Python path; the ``*_pure`` aliases always point at the uncompiled
-implementation so the benchmark can time both in one process.
+:func:`_walk` builds the avoiders of two 4-letter patterns left to right,
+in lexicographic order.  Values are absolute in a prefix walk, so the set
+of values a later letter may not take only grows with depth, and the walk
+keeps it per depth as a bitmask (bit v = value v).  When the letter v just
+placed completes an occurrence (w0, w1, v) of a pattern's first three
+letters, every later letter inside one open value interval would complete
+the pattern; the pattern's last letter says which interval, and its ends
+come from {w0, w1, v} (or the edges 0 and n + 1).  For each earlier
+position of w1 the candidate w0s form one mask, so the union of their
+intervals is read off its lowest or highest bit: each node costs O(depth)
+integer operations.  Children are drawn from the free values minus the
+forbidden ones, so no child that contains a pattern is ever made.
 
-Permutations are int64 arrays of 1-based values; patterns are int64 arrays
-of length 4 holding a permutation of 1..4.
+The public kernels keep the positional ``(n, pa, pb[, out])`` signature and
+need n >= 1.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-PURE_PYTHON_REQUESTED = _env_flag("PERMLAB_PURE")
-
+#: The kernels have one backend, plain Python; the flag stays for readers of
+#: the benchmark reports, which record which backend ran.
 NUMBA_ENABLED = False
-if not PURE_PYTHON_REQUESTED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
+
+
+def _rules(pattern) -> tuple[bool, bool, bool, int, int]:
+    """How one 4-letter pattern constrains the prefix walk.
+
+    Returns the orders ``w0 < w1``, ``w0 < v``, ``w1 < v`` of an occurrence
+    (w0, w1, v) of the first three letters, then which of them (0, 1, 2;
+    -1 for the edge) bound from below and from above the open value interval
+    that the last letter then forbids.
+
+    >>> _rules((1, 2, 4, 3))
+    (True, True, True, 1, 2)
+    """
+    p0, p1, p2, p3 = (int(x) for x in pattern)
+    head = (p0, p1, p2)
+    lo = head.index(p3 - 1) if p3 > 1 else -1
+    hi = head.index(p3 + 1) if p3 < 4 else -1
+    return p0 < p1, p0 < p2, p1 < p2, lo, hi
+
+
+def _walk(n, pa, pb):
+    """Yield every permutation of 1..n avoiding both patterns, in lex order.
+
+    The same list object is yielded each time, refilled in place; copy it
+    to keep it.
+    """
+    rules = (_rules(pa), _rules(pb))
+    full = (2 << n) - 2                                    # values 1..n
+    below = [(1 << x) - 2 for x in range(n + 1)]           # values 1..x-1
+    above = [full & -(2 << x) for x in range(n + 1)]       # values x+1..n
+    perm = [0] * n
+    seen = [0] * n    # seen[d]: values at positions < d
+    forb = [0] * n    # forb[d]: values position d may not take
+    todo = [0] * n    # todo[d]: values still to try at position d
+    todo[0] = full
+    last = n - 1
+    d = 0
+    while d >= 0:
+        m = todo[d]
+        if not m:
+            d -= 1
+            continue
+        bit = m & -m
+        todo[d] = m ^ bit
+        v = bit.bit_length() - 1
+        perm[d] = v
+        if d == last:
+            yield perm
+            continue
+        f = forb[d]
+        for c01, c02, c12, lo_at, hi_at in rules:
+            side_v = below[v] if c02 else above[v]
+            for j in range(1, d):
+                w1 = perm[j]
+                if (w1 < v) != c12:
+                    continue
+                w0s = seen[j] & side_v & (below[w1] if c01 else above[w1])
+                if not w0s:
+                    continue
+                # the widest interval over the candidate w0s wins
+                if lo_at == 0:
+                    lo = (w0s & -w0s).bit_length() - 1
+                else:
+                    lo = w1 if lo_at == 1 else v if lo_at == 2 else 0
+                if hi_at == 0:
+                    hi = w0s.bit_length() - 1
+                else:
+                    hi = w1 if hi_at == 1 else v if hi_at == 2 else n + 1
+                f |= (1 << hi) - (2 << lo)
+        s = seen[d] | bit
+        d += 1
+        seen[d] = s
+        forb[d] = f
+        todo[d] = full & ~(s | f)
+
+
+def census_pair(n, pa, pb):
+    """Avoiders of both patterns counted by first letter and by (first, second).
+
+    Returns ``(first, pair)``: ``first[i - 1]`` counts the avoiders with first
+    letter i, ``pair[i, j]`` those with first letter i and second letter j
+    (1-based; row and column 0 stay zero, and so does all of ``pair`` at
+    n = 1).  Both are int64 arrays.
+    """
+    cells = [[0] * (n + 1) for _ in range(n + 1)]
+    if n == 1:
+        first = [1]
     else:
-        NUMBA_ENABLED = True
+        for perm in _walk(n, pa, pb):
+            cells[perm[0]][perm[1]] += 1
+        first = [sum(row) for row in cells[1:]]
+    return np.array(first, np.int64), np.array(cells, np.int64)
 
 
-def _select(impl):
-    if NUMBA_ENABLED:
-        return njit(cache=True)(impl)
-    return impl
+def fill_avoiders(n, pa, pb, out) -> int:
+    """Append every avoider of both patterns to the list `out` as a tuple,
+    in lexicographic order; return how many were appended."""
+    before = len(out)
+    out.extend(tuple(perm) for perm in _walk(n, pa, pb))
+    return len(out) - before
 
 
-# ---------------------------------------------------------------------------
-# census of avoiders by (first letter, second letter)
-# ---------------------------------------------------------------------------
+def _site_rules(pattern) -> tuple[int, bool, bool, bool]:
+    """Where the letter 1 sits in a 4-letter pattern, and the pairwise
+    orders of the three other letters, left to right.
 
-def _census_pair_impl(n, pa, pb):
-    # Lexicographic DFS over permutations of 1..n avoiding both 4-patterns.
-    # A prefix that avoids both can only gain an occurrence ending at the
-    # newly placed letter, so the incremental test scans triples i<j<k
-    # before the last position.  Returns (first-letter counts, first x
-    # second counts with 1-based rows/columns).
-    first = np.zeros(n, np.int64)
-    pair = np.zeros((n + 1, n + 1), np.int64)
-    a01 = pa[0] < pa[1]
-    a02 = pa[0] < pa[2]
-    a03 = pa[0] < pa[3]
-    a12 = pa[1] < pa[2]
-    a13 = pa[1] < pa[3]
-    a23 = pa[2] < pa[3]
-    b01 = pb[0] < pb[1]
-    b02 = pb[0] < pb[2]
-    b03 = pb[0] < pb[3]
-    b12 = pb[1] < pb[2]
-    b13 = pb[1] < pb[3]
-    b23 = pb[2] < pb[3]
-    perm = np.zeros(n, np.int64)
-    used = np.zeros(n + 1, np.uint8)
-    nxt = np.zeros(n, np.int64)
-    d = 0
-    nxt[0] = 1
-    while d >= 0:
-        v = nxt[d]
-        while v <= n and used[v] == 1:
-            v += 1
-        if v > n:
-            d -= 1
-            if d >= 0:
-                used[perm[d]] = 0
-                nxt[d] = perm[d] + 1
-            continue
-        nxt[d] = v + 1
-        perm[d] = v
-        bad = False
-        if d >= 3:
-            for i in range(d - 2):
+    >>> _site_rules((2, 1, 4, 3))
+    (1, True, True, False)
+    """
+    p = [int(x) for x in pattern]
+    t = p.index(1)
+    q0, q1, q2 = p[:t] + p[t + 1:]
+    return t, q0 < q1, q0 < q2, q1 < q2
+
+
+def _inactive_gaps(perm, n, rules) -> int:
+    """Bitmask of the gaps of `perm` where a new minimum creates a pattern.
+
+    A new minimum in gap g (g letters to its left) can only play a
+    pattern's letter 1, at index t; the other three letters must form an
+    occurrence (i, j, k) of the rest with exactly t of them left of g.  So
+    each occurrence blocks one run of gaps, [0, i], [i+1, j], [j+1, k] or
+    [k+1, n], and two of its positions fix that run: the third position is
+    read off a position mask, lowest or highest bit, as in :func:`_walk`.
+    """
+    every = (1 << n) - 1
+    lt = [0] * (n + 2)                   # lt[x]: positions holding values < x
+    where = [0] * (n + 1)
+    for pos, x in enumerate(perm):
+        where[x] = pos
+    for x in range(1, n + 1):
+        lt[x + 1] = lt[x] | (1 << where[x])
+    gaps = 0
+    for t, c01, c02, c12 in rules:
+        if t in (0, 2):
+            # pairs (i, j); the third letter k comes after j
+            for i in range(n - 2):
                 w0 = perm[i]
-                if ((w0 < v) == a03) or ((w0 < v) == b03):
-                    for j in range(i + 1, d - 1):
-                        w1 = perm[j]
-                        hit_a = (w0 < w1) == a01 and (w1 < v) == a13 and (w0 < v) == a03
-                        hit_b = (w0 < w1) == b01 and (w1 < v) == b13 and (w0 < v) == b03
-                        if hit_a or hit_b:
-                            for k in range(j + 1, d):
-                                w2 = perm[k]
-                                if hit_a and (w0 < w2) == a02 and (w1 < w2) == a12 and (w2 < v) == a23:
-                                    bad = True
-                                    break
-                                if hit_b and (w0 < w2) == b02 and (w1 < w2) == b12 and (w2 < v) == b23:
-                                    bad = True
-                                    break
-                            if bad:
-                                break
-                    if bad:
-                        break
-        if bad:
-            continue
-        if d == n - 1:
-            first[perm[0] - 1] += 1
-            if n >= 2:
-                pair[perm[0], perm[1]] += 1
-            continue
-        used[v] = 1
-        d += 1
-        nxt[d] = 1
-    return first, pair
+                side0 = every ^ lt[w0 + 1] if c02 else lt[w0]
+                for j in range(i + 1, n - 1):
+                    w1 = perm[j]
+                    if (w0 < w1) != c01:
+                        continue
+                    k_pos = side0 & (every ^ lt[w1 + 1] if c12 else lt[w1]) & -(2 << j)
+                    if k_pos:
+                        if t == 0:
+                            gaps |= (2 << i) - 1
+                        else:
+                            gaps |= (1 << k_pos.bit_length()) - (2 << j)
+        else:
+            # pairs (j, k); the first letter i comes before j
+            for j in range(1, n - 1):
+                w1 = perm[j]
+                side1 = lt[w1] if c01 else every ^ lt[w1 + 1]
+                for k in range(j + 1, n):
+                    w2 = perm[k]
+                    if (w1 < w2) != c12:
+                        continue
+                    i_pos = side1 & (lt[w2] if c02 else every ^ lt[w2 + 1]) & ((1 << j) - 1)
+                    if i_pos:
+                        if t == 1:
+                            gaps |= (2 << j) - (2 << ((i_pos & -i_pos).bit_length() - 1))
+                        else:
+                            gaps |= (2 << n) - (2 << k)
+    return gaps
 
 
-census_pair_pure = _census_pair_impl
-census_pair = _select(_census_pair_impl)
+def active_census(n, pa, pb):
+    """Avoiders counted by (first letter, number of active sites).
+
+    A gap g in 0..n of an avoider is active when lifting every letter by one
+    and inserting a new 1 at g still avoids both patterns.  Returns an int64
+    array u of shape (n + 1, n + 2) with u[i, j] the number of avoiders with
+    first letter i and exactly j active sites; row 0 stays zero.
+    """
+    rules = (_site_rules(pa), _site_rules(pb))
+    u = [[0] * (n + 2) for _ in range(n + 1)]
+    for perm in _walk(n, pa, pb):
+        sites = n + 1 - _inactive_gaps(perm, n, rules).bit_count()
+        u[perm[0]][sites] += 1
+    return np.array(u, np.int64)
 
 
-# ---------------------------------------------------------------------------
-# materialised list of avoiders, lexicographic order
-# ---------------------------------------------------------------------------
+def inv021_census(n):
+    """021-avoiding inversion sequences of length n counted by last entry.
 
-def _fill_avoiders_impl(n, pa, pb, out):
-    # Same DFS as the census; writes each avoider into a row of `out`
-    # (int8, so n must stay below 128) and returns the row count.
-    a01 = pa[0] < pa[1]
-    a02 = pa[0] < pa[2]
-    a03 = pa[0] < pa[3]
-    a12 = pa[1] < pa[2]
-    a13 = pa[1] < pa[3]
-    a23 = pa[2] < pa[3]
-    b01 = pb[0] < pb[1]
-    b02 = pb[0] < pb[2]
-    b03 = pb[0] < pb[3]
-    b12 = pb[1] < pb[2]
-    b13 = pb[1] < pb[3]
-    b23 = pb[2] < pb[3]
-    perm = np.zeros(n, np.int64)
-    used = np.zeros(n + 1, np.uint8)
-    nxt = np.zeros(n, np.int64)
-    count = 0
+    A sequence e_1..e_n has 0 <= e_t <= t - 1 and no i < j < k with
+    e_i < e_k < e_j.  Placing x at position j forbids every later entry in
+    the open interval (min of the entries before j, x), so, as in
+    :func:`_walk`, a per-depth bitmask of forbidden values (bit x = value x)
+    replaces any rescan.  Entry k - 1 of the int64 result counts the
+    sequences ending in k when k > 0, and those ending in 0 at k = n.
+    """
+    res = [0] * n
+    forb = [0] * n      # forb[d]: values position d may not take
+    low = [0] * n       # low[d]: least entry at positions < d
+    todo = [0] * n      # todo[d]: values still to try at position d
+    low[0] = n + 1
+    todo[0] = 1
+    last = n - 1
     d = 0
-    nxt[0] = 1
     while d >= 0:
-        v = nxt[d]
-        while v <= n and used[v] == 1:
-            v += 1
-        if v > n:
-            d -= 1
-            if d >= 0:
-                used[perm[d]] = 0
-                nxt[d] = perm[d] + 1
-            continue
-        nxt[d] = v + 1
-        perm[d] = v
-        bad = False
-        if d >= 3:
-            for i in range(d - 2):
-                w0 = perm[i]
-                if ((w0 < v) == a03) or ((w0 < v) == b03):
-                    for j in range(i + 1, d - 1):
-                        w1 = perm[j]
-                        hit_a = (w0 < w1) == a01 and (w1 < v) == a13 and (w0 < v) == a03
-                        hit_b = (w0 < w1) == b01 and (w1 < v) == b13 and (w0 < v) == b03
-                        if hit_a or hit_b:
-                            for k in range(j + 1, d):
-                                w2 = perm[k]
-                                if hit_a and (w0 < w2) == a02 and (w1 < w2) == a12 and (w2 < v) == a23:
-                                    bad = True
-                                    break
-                                if hit_b and (w0 < w2) == b02 and (w1 < w2) == b12 and (w2 < v) == b23:
-                                    bad = True
-                                    break
-                            if bad:
-                                break
-                    if bad:
-                        break
-        if bad:
-            continue
-        if d == n - 1:
-            for t in range(n):
-                out[count, t] = np.int8(perm[t])
-            count += 1
-            continue
-        used[v] = 1
-        d += 1
-        nxt[d] = 1
-    return count
-
-
-fill_avoiders_pure = _fill_avoiders_impl
-fill_avoiders = _select(_fill_avoiders_impl)
-
-
-# ---------------------------------------------------------------------------
-# census of avoiders by (first letter, number of active sites)
-# ---------------------------------------------------------------------------
-
-def _active_census_impl(n, pa, pb):
-    # For each avoider pi of 1..n, count the gaps g in 0..n where lifting
-    # every letter by one and inserting a new 1 at g still avoids both
-    # patterns.  Output u has u[i, j] = number of avoiders with first
-    # letter i and exactly j active sites (i in 1..n, j in 0..n+1).
-    u = np.zeros((n + 1, n + 2), np.int64)
-    a01 = pa[0] < pa[1]
-    a02 = pa[0] < pa[2]
-    a03 = pa[0] < pa[3]
-    a12 = pa[1] < pa[2]
-    a13 = pa[1] < pa[3]
-    a23 = pa[2] < pa[3]
-    b01 = pb[0] < pb[1]
-    b02 = pb[0] < pb[2]
-    b03 = pb[0] < pb[3]
-    b12 = pb[1] < pb[2]
-    b13 = pb[1] < pb[3]
-    b23 = pb[2] < pb[3]
-    perm = np.zeros(n, np.int64)
-    used = np.zeros(n + 1, np.uint8)
-    nxt = np.zeros(n, np.int64)
-    buf = np.zeros(n + 1, np.int64)
-    d = 0
-    nxt[0] = 1
-    while d >= 0:
-        v = nxt[d]
-        while v <= n and used[v] == 1:
-            v += 1
-        if v > n:
-            d -= 1
-            if d >= 0:
-                used[perm[d]] = 0
-                nxt[d] = perm[d] + 1
-            continue
-        nxt[d] = v + 1
-        perm[d] = v
-        bad = False
-        if d >= 3:
-            for i in range(d - 2):
-                w0 = perm[i]
-                if ((w0 < v) == a03) or ((w0 < v) == b03):
-                    for j in range(i + 1, d - 1):
-                        w1 = perm[j]
-                        hit_a = (w0 < w1) == a01 and (w1 < v) == a13 and (w0 < v) == a03
-                        hit_b = (w0 < w1) == b01 and (w1 < v) == b13 and (w0 < v) == b03
-                        if hit_a or hit_b:
-                            for k in range(j + 1, d):
-                                w2 = perm[k]
-                                if hit_a and (w0 < w2) == a02 and (w1 < w2) == a12 and (w2 < v) == a23:
-                                    bad = True
-                                    break
-                                if hit_b and (w0 < w2) == b02 and (w1 < w2) == b12 and (w2 < v) == b23:
-                                    bad = True
-                                    break
-                            if bad:
-                                break
-                    if bad:
-                        break
-        if bad:
-            continue
-        if d == n - 1:
-            m = n + 1
-            sites = 0
-            for g in range(n + 1):
-                for t in range(g):
-                    buf[t] = perm[t] + 1
-                buf[g] = 1
-                for t in range(g, n):
-                    buf[t + 1] = perm[t] + 1
-                # full containment test of each pattern in the lifted word
-                found = False
-                for pat in range(2):
-                    if pat == 0:
-                        r01, r02, r03 = a01, a02, a03
-                        r12, r13, r23 = a12, a13, a23
-                    else:
-                        r01, r02, r03 = b01, b02, b03
-                        r12, r13, r23 = b12, b13, b23
-                    for i in range(m - 3):
-                        w0 = buf[i]
-                        for j in range(i + 1, m - 2):
-                            w1 = buf[j]
-                            if (w0 < w1) != r01:
-                                continue
-                            for k in range(j + 1, m - 1):
-                                w2 = buf[k]
-                                if (w0 < w2) != r02 or (w1 < w2) != r12:
-                                    continue
-                                for l in range(k + 1, m):
-                                    w3 = buf[l]
-                                    if (w0 < w3) == r03 and (w1 < w3) == r13 and (w2 < w3) == r23:
-                                        found = True
-                                        break
-                                if found:
-                                    break
-                            if found:
-                                break
-                        if found:
-                            break
-                    if found:
-                        break
-                if not found:
-                    sites += 1
-            u[perm[0], sites] += 1
-            continue
-        used[v] = 1
-        d += 1
-        nxt[d] = 1
-    return u
-
-
-active_census_pure = _active_census_impl
-active_census = _select(_active_census_impl)
-
-
-# ---------------------------------------------------------------------------
-# inversion sequences avoiding the pattern 021
-# ---------------------------------------------------------------------------
-
-def _inv021_census_impl(n):
-    # DFS over sequences e_1..e_n with 0 <= e_t <= t-1 containing no
-    # i < j < k with e_i < e_k < e_j.  Appending x at position m creates
-    # such a triple iff some earlier j has e_j > x and min(e_1..e_{j-1}) < x,
-    # so a running prefix-minimum array gives an O(m) test.  Counts the
-    # survivors by the class of the last entry: k = e_n when e_n > 0,
-    # k = n when e_n = 0.
-    res = np.zeros(n, np.int64)
-    e = np.zeros(n, np.int64)
-    premin = np.zeros(n + 1, np.int64)
-    premin[0] = n + 1
-    nxt = np.zeros(n, np.int64)
-    d = 0
-    nxt[0] = 0
-    while d >= 0:
-        x = nxt[d]
-        if x > d:
+        m = todo[d]
+        if not m:
             d -= 1
             continue
-        nxt[d] = x + 1
-        bad = False
-        for j in range(1, d):
-            if e[j] > x and premin[j] < x:
-                bad = True
-                break
-        if bad:
+        bit = m & -m
+        todo[d] = m ^ bit
+        x = bit.bit_length() - 1
+        if d == last:
+            res[(x or n) - 1] += 1
             continue
-        e[d] = x
-        if d == n - 1:
-            k = x if x > 0 else n
-            res[k - 1] += 1
-            continue
-        premin[d + 1] = premin[d] if premin[d] < x else x
+        m0 = low[d]
+        f = forb[d]
+        if m0 + 1 < x:
+            f |= (1 << x) - (2 << m0)
         d += 1
-        nxt[d] = 0
-    return res
-
-
-inv021_census_pure = _inv021_census_impl
-inv021_census = _select(_inv021_census_impl)
+        low[d] = m0 if m0 < x else x
+        forb[d] = f
+        todo[d] = ((2 << d) - 1) & ~f
+    return np.array(res, np.int64)

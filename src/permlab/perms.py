@@ -15,7 +15,7 @@ True
 
 The exhaustive walks live in :mod:`permlab.kernels`; everything here is a
 thin typed shell that validates input, enforces the size cap, and converts
-to and from numpy arrays.
+the kernels' count arrays to plain lists and tables.
 """
 
 from __future__ import annotations
@@ -154,7 +154,9 @@ def contains(perm: Sequence[int], pattern: Sequence[int]) -> bool:
 
     Backtracks over candidate positions left to right, keeping only
     prefixes whose pairwise order agrees with the pattern, so hopeless
-    partial matches are cut early.
+    partial matches are cut early.  Length-4 patterns, the ones this
+    project works with, take a flat four-deep loop instead: the same cuts,
+    as six precomputed order tests, without the recursion.
 
     >>> contains((2, 4, 1, 3), (3, 1, 2))
     True
@@ -167,6 +169,8 @@ def contains(perm: Sequence[int], pattern: Sequence[int]) -> bool:
         return True
     if k > n:
         return False
+    if k == 4:
+        return _contains4(perm, pattern)
 
     def extend(start: int, chosen: list[int]) -> bool:
         t = len(chosen)
@@ -182,6 +186,28 @@ def contains(perm: Sequence[int], pattern: Sequence[int]) -> bool:
         return False
 
     return extend(0, [])
+
+
+def _contains4(perm: Sequence[int], pattern: Sequence[int]) -> bool:
+    p0, p1, p2, p3 = pattern
+    r01, r02, r03 = p0 < p1, p0 < p2, p0 < p3
+    r12, r13, r23 = p1 < p2, p1 < p3, p2 < p3
+    n = len(perm)
+    for i in range(n - 3):
+        w0 = perm[i]
+        for j in range(i + 1, n - 2):
+            w1 = perm[j]
+            if (w0 < w1) != r01:
+                continue
+            for k in range(j + 1, n - 1):
+                w2 = perm[k]
+                if (w0 < w2) != r02 or (w1 < w2) != r12:
+                    continue
+                for l in range(k + 1, n):
+                    w3 = perm[l]
+                    if (w0 < w3) == r03 and (w1 < w3) == r13 and (w2 < w3) == r23:
+                        return True
+    return False
 
 
 def avoids(perm: Sequence[int], *patterns: Sequence[int]) -> bool:
@@ -263,14 +289,11 @@ class DistributionTable:
         return DistributionTable(n, tuple(rows))
 
 
-def _pair_arrays(pair: Pair) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(pair: Pair) -> Pair:
     pa, pb = pair
     if len(pa) != 4 or len(pb) != 4:
         raise ValueError("pattern pairs must consist of two 4-letter patterns")
-    return (
-        np.asarray(check_permutation(pa), dtype=np.int64),
-        np.asarray(check_permutation(pb), dtype=np.int64),
-    )
+    return check_permutation(pa), check_permutation(pb)
 
 
 def first_second_distribution(n: int, pair: Pair, max_n: int | None = None) -> DistributionTable:
@@ -278,7 +301,7 @@ def first_second_distribution(n: int, pair: Pair, max_n: int | None = None) -> D
     _check_cap(n, max_n)
     if n == 0:
         return DistributionTable(0, (tuple([0]),))
-    pa, pb = _pair_arrays(pair)
+    pa, pb = _check_pair(pair)
     _, cells = kernels.census_pair(n, pa, pb)
     return DistributionTable.from_cells(n, lambda i, j: cells[i, j])
 
@@ -288,7 +311,7 @@ def first_letter_distribution(n: int, pair: Pair, max_n: int | None = None) -> l
     _check_cap(n, max_n)
     if n == 0:
         return []
-    pa, pb = _pair_arrays(pair)
+    pa, pb = _check_pair(pair)
     first, _ = kernels.census_pair(n, pa, pb)
     return [int(c) for c in first]
 
@@ -309,12 +332,10 @@ def enumerate_avoiders(n: int, pair: Pair, max_n: int | None = None) -> list[Per
     _check_cap(n, max_n)
     if n == 0:
         return [()]
-    pa, pb = _pair_arrays(pair)
-    total = count_avoiders(n, pair, max_n=max_n)
-    out = np.zeros((total, n), dtype=np.int8)
-    written = kernels.fill_avoiders(n, pa, pb, out)
-    assert written == total
-    return [tuple(int(v) for v in row) for row in out]
+    pa, pb = _check_pair(pair)
+    out: list[Perm] = []
+    kernels.fill_avoiders(n, pa, pb, out)
+    return out
 
 
 def active_site_census(n: int, pair: Pair, max_n: int | None = None) -> np.ndarray:
@@ -327,5 +348,5 @@ def active_site_census(n: int, pair: Pair, max_n: int | None = None) -> np.ndarr
     _check_cap(n, max_n)
     if n == 0:
         raise ValueError("active site census needs n >= 1")
-    pa, pb = _pair_arrays(pair)
+    pa, pb = _check_pair(pair)
     return kernels.active_census(n, pa, pb)

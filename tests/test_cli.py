@@ -142,6 +142,17 @@ def test_verify_all_suites_pass(capsys):
         assert "[PASS]" in out
 
 
+def test_verify_inversion_is_not_clipped(capsys):
+    # the inversion suite enumerates no permutations, so the brute-force
+    # cap on permutation size does not apply to it
+    code, out, _ = run(capsys, "verify", "inversion", "--n", "10", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["scale"] == 10
+    assert len(payload["checks"]) == 10
+    assert payload["all_ok"] is True
+
+
 def test_verify_json_report(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(

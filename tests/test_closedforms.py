@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from permlab import closedforms
 from permlab.closedforms import (
     CheckResult,
     build_closed_form,
@@ -29,6 +30,15 @@ def test_registry_is_buildable():
         form = build_closed_form(name)
         assert form.name == name
         assert not form.denominator_series(4).coeffs[0].is_zero() or form.start > 0
+
+
+def test_registry_builds_shared_parts_once():
+    parts = closedforms._joint_parts_1243_1342
+    build_closed_form.cache_clear()
+    parts.cache_clear()
+    for name in closed_form_names():
+        build_closed_form(name)
+    assert parts.cache_info().misses == 1
 
 
 def test_schroeder_gf():

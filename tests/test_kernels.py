@@ -1,84 +1,126 @@
-"""The accelerated census kernels must agree with their pure twins."""
+"""The enumeration kernels against oracles that share none of their code.
+
+The oracle lists S_n with ``itertools.permutations`` and tests every
+permutation against every 4-letter pattern with :func:`permlab.perms.contains`;
+the kernels never test a finished permutation at all, they only forbid
+values while a prefix grows.
+"""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import functools
+import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from permlab import kernels
-from permlab.perms import parse_pair
+from permlab.catalog import CATALOG
+from permlab.perms import active_sites, contains
 
-PAIRS = [
-    parse_pair("1234,1243"),
-    parse_pair("1243,1423"),
-    parse_pair("1324,1423"),
-    parse_pair("2314,3124"),
-    parse_pair("2413,3142"),
-]
+PATTERNS = list(itertools.permutations(range(1, 5)))
+ALL_PAIRS = list(itertools.combinations(PATTERNS, 2))
 
 
-def _arrays(pair):
-    return (
-        np.array(pair[0], dtype=np.int8),
-        np.array(pair[1], dtype=np.int8),
+@functools.lru_cache(maxsize=None)
+def _contained(n: int) -> dict:
+    """Each permutation of 1..n (lex order) -> the 4-patterns it contains."""
+    return {
+        p: frozenset(q for q in PATTERNS if contains(p, q))
+        for p in itertools.permutations(range(1, n + 1))
+    }
+
+
+def _avoiders(n, pair):
+    return [p for p, held in _contained(n).items() if not held & set(pair)]
+
+
+def _census(n, pair):
+    first = np.zeros(n, np.int64)
+    cells = np.zeros((n + 1, n + 1), np.int64)
+    for p in _avoiders(n, pair):
+        first[p[0] - 1] += 1
+        if n > 1:
+            cells[p[0], p[1]] += 1
+    return first, cells
+
+
+def _assert_census(n, pair):
+    first, cells = kernels.census_pair(n, *pair)
+    want_first, want_cells = _census(n, pair)
+    assert first.dtype == cells.dtype == np.int64
+    assert np.array_equal(first, want_first), (n, pair)
+    assert np.array_equal(cells, want_cells), (n, pair)
+
+
+@pytest.mark.parametrize("head", PATTERNS[:-1], ids=lambda p: "".join(map(str, p)))
+def test_census_pair_matches_oracle(head):
+    # every unordered pair of distinct 4-patterns whose first member is `head`
+    for pair in ALL_PAIRS:
+        if pair[0] == head:
+            for n in range(1, 7):
+                _assert_census(n, pair)
+
+
+def test_census_pair_matches_oracle_on_catalog_at_7():
+    for entry in CATALOG:
+        _assert_census(7, entry.pair)
+
+
+def test_fill_avoiders_matches_oracle():
+    for pair in ALL_PAIRS[::11]:
+        for n in range(1, 7):
+            out = [("sentinel",)]
+            count = kernels.fill_avoiders(n, *pair, out)
+            assert out[1:] == sorted(_avoiders(n, pair)), (n, pair)
+            assert count == len(out) - 1
+
+
+def test_active_census_matches_active_sites():
+    for pair in ALL_PAIRS:
+        for n in range(1, 6):
+            want = np.zeros((n + 1, n + 2), np.int64)
+            for p in _avoiders(n, pair):
+                want[p[0], len(active_sites(p, pair))] += 1
+            got = kernels.active_census(n, *pair)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (n, pair)
+
+
+def _avoids_021(e) -> bool:
+    return not any(
+        e[i] < e[k] < e[j]
+        for i, j, k in itertools.combinations(range(len(e)), 3)
     )
 
 
-@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: "".join(map(str, p[0])))
-def test_census_pair_matches_pure(pair):
-    pa, pb = _arrays(pair)
+def test_inv021_census_matches_brute_force():
     for n in range(1, 8):
-        first, cells = kernels.census_pair(n, pa, pb)
-        first_p, cells_p = kernels.census_pair_pure(n, pa, pb)
-        assert np.array_equal(first, first_p)
-        assert np.array_equal(cells, cells_p)
+        want = [0] * n
+        for e in itertools.product(*(range(t) for t in range(1, n + 1))):
+            if _avoids_021(e):
+                want[(e[-1] or n) - 1] += 1
+        got = kernels.inv021_census(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want, n
 
 
-def test_fill_avoiders_matches_pure():
-    pa, pb = _arrays(PAIRS[1])
-    for n in range(1, 8):
-        total = int(kernels.census_pair(n, pa, pb)[0].sum())
-        out = np.zeros((total, n), dtype=np.int8)
-        out_p = np.zeros((total, n), dtype=np.int8)
-        assert kernels.fill_avoiders(n, pa, pb, out) == total
-        assert kernels.fill_avoiders_pure(n, pa, pb, out_p) == total
-        assert np.array_equal(out, out_p)
-
-
-def test_active_census_matches_pure():
-    pa, pb = _arrays(PAIRS[2])
-    for n in range(1, 7):
-        assert np.array_equal(
-            kernels.active_census(n, pa, pb),
-            kernels.active_census_pure(n, pa, pb),
-        )
-
-
-def test_inv021_census_matches_pure():
-    for n in range(1, 9):
-        assert np.array_equal(
-            kernels.inv021_census(n), kernels.inv021_census_pure(n)
-        )
-
-
-def test_pure_mode_env_flag():
-    code = (
-        "import numpy as np\n"
-        "from permlab import kernels\n"
-        "assert kernels.PURE_PYTHON_REQUESTED\n"
-        "assert not kernels.NUMBA_ENABLED\n"
-        "assert kernels.census_pair is kernels.census_pair_pure\n"
-        "pa = np.array([1, 2, 4, 3], dtype=np.int8)\n"
-        "pb = np.array([1, 4, 2, 3], dtype=np.int8)\n"
-        "print([int(c) for c in kernels.census_pair(6, pa, pb)[0]])\n"
-    )
-    env = dict(os.environ, PERMLAB_PURE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[16, 40, 68, 90, 90, 90]"
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.lists(st.permutations(range(1, 5)), min_size=2, max_size=2, unique_by=tuple)
+    .map(lambda ps: tuple(tuple(p) for p in ps)),
+    n=st.integers(min_value=1, max_value=7),
+    kind=st.sampled_from([tuple, list, lambda p: np.array(p, np.int8)]),
+)
+def test_kernels_match_oracle_on_random_pairs(pair, n, kind):
+    pa, pb = kind(pair[0]), kind(pair[1])
+    want = _avoiders(n, pair)
+    out = []
+    assert kernels.fill_avoiders(n, pa, pb, out) == len(want)
+    assert out == want
+    first, cells = kernels.census_pair(n, pa, pb)
+    want_first, want_cells = _census(n, pair)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(cells, want_cells)

@@ -70,6 +70,15 @@ def test_contains_matches_brute_force(perm, pattern):
     assert contains(perm, pattern) == brute_contains(perm, pattern)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_contains_every_pattern_exhaustively(k):
+    # length 4 takes the flat loop, the other lengths the backtracking
+    patterns = list(itertools.permutations(range(1, k + 1)))
+    for perm in itertools.permutations(range(1, 7)):
+        for pattern in patterns:
+            assert contains(perm, pattern) == brute_contains(perm, pattern)
+
+
 @given(perms_st)
 def test_avoids_is_negation_of_contains(perm):
     pair = ((1, 2, 4, 3), (1, 4, 2, 3))
