@@ -2,7 +2,8 @@
 
 Subcommands reproduce the reference tables, print distributions by any of
 the three computation routes (enumeration, recurrence, series), run the
-verification suites, and trace the bijection on a single permutation.
+verification suites of :mod:`permlab.suites`, and trace the bijection on a
+single permutation.
 
 Exit codes: 0 all good, 1 a verification failed, 2 usage or resource error.
 JSON output carries a versioned ``schema`` field.
@@ -15,7 +16,7 @@ import json
 import sys
 import time
 
-from . import __version__
+from . import __version__, suites
 from .perms import (
     Pair,
     ResourceLimitError,
@@ -25,7 +26,7 @@ from .perms import (
     parse_pair,
     parse_permutation,
 )
-from .schroeder import schroeder_numbers, triangle_rows
+from .schroeder import triangle_rows
 
 SCHEMA = "permlab/v1"
 
@@ -34,12 +35,16 @@ DEFAULT_BRUTE_CAP = 9
 BIG_BRUTE_CAP = 11
 
 
-class CheckFailure(Exception):
-    """A verification ran to completion and found a mismatch."""
-
-
-def _brute_cap(big: bool) -> int:
-    return min(enumeration_cap(), BIG_BRUTE_CAP if big else DEFAULT_BRUTE_CAP)
+def _check_brute_cap(n: int, big: bool) -> int:
+    """The brute-force cap, after refusing an enumeration at size ``n`` above it."""
+    big_cap = min(enumeration_cap(), BIG_BRUTE_CAP)
+    cap = big_cap if big else min(big_cap, DEFAULT_BRUTE_CAP)
+    if n > cap:
+        hint = "pass --big" if cap < big_cap else "raise PERMLAB_MAX_N"
+        raise ResourceLimitError(
+            f"brute-force census at n={n} exceeds the cap of {cap}; {hint}"
+        )
+    return cap
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -94,13 +99,7 @@ def _distribution_by(pair: Pair, n: int, method: str, big: bool) -> list[int]:
 
     key = tuple(sorted(pair))
     if method == "brute":
-        cap = _brute_cap(big)
-        if n > cap:
-            hint = "raise PERMLAB_MAX_N" if big else "pass --big"
-            raise ResourceLimitError(
-                f"brute-force census at n={n} exceeds the cap of {cap}; {hint}"
-            )
-        return first_letter_distribution(n, pair, max_n=cap)
+        return first_letter_distribution(n, pair, max_n=_check_brute_cap(n, big))
     if n > 40:
         raise ResourceLimitError(f"method {method!r} is limited to n <= 40")
     if method == "recurrence":
@@ -223,174 +222,17 @@ def cmd_table2(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_conjecture(n_max: int) -> list:
-    from .catalog import TRIANGLE_PAIRS
-    from .closedforms import CheckResult
-
-    rows = triangle_rows(n_max)
-    checks = []
-    for pair in TRIANGLE_PAIRS:
-        ok = True
-        detail = f"n <= {n_max}"
-        for n in range(1, n_max + 1):
-            got = first_letter_distribution(n, pair, max_n=n_max)
-            if got != rows[n - 1]:
-                ok = False
-                detail = f"first mismatch at n={n}: {got}"
-                break
-        label = ",".join("".join(map(str, p)) for p in pair)
-        checks.append(CheckResult(f"census for {label} equals the triangle rows", ok, detail))
-    return checks
-
-
-def _suite_recurrences(n_max: int) -> list:
-    from . import recurrences
-    from .closedforms import CheckResult
-    from .perms import active_site_census, first_second_distribution
-
-    checks = []
-    rows = triangle_rows(n_max)
-    for pair in recurrences.FIRST_LETTER_PAIRS:
-        label = ",".join("".join(map(str, p)) for p in pair)
-        ok = all(
-            recurrences.first_letter_row(n) == first_letter_distribution(n, pair, max_n=n_max)
-            for n in range(1, n_max + 1)
-        )
-        checks.append(CheckResult(f"first-letter recurrence matches brute force for {label}", ok))
-    for pair in recurrences.SITE_PAIRS:
-        label = ",".join("".join(map(str, p)) for p in pair)
-        ok = True
-        for n in range(1, n_max + 1):
-            table = recurrences.site_table(n, pair)
-            census = active_site_census(n, pair, max_n=n_max)
-            if any(
-                table[i][j] != int(census[i][j])
-                for i in range(1, n + 1)
-                for j in range(0, n + 2)
-            ):
-                ok = False
-                break
-        checks.append(CheckResult(f"active-site recurrence matches brute force for {label}", ok))
-    for pair in recurrences.JOINT_PAIRS:
-        label = ",".join("".join(map(str, p)) for p in pair)
-        ok = all(
-            recurrences.joint_table(n, pair).cells == first_second_distribution(n, pair, max_n=n_max).cells
-            for n in range(2, n_max + 1)
-        )
-        checks.append(CheckResult(f"joint-table recurrence matches brute force for {label}", ok))
-    ok = all(rows[n - 1] == recurrences.first_letter_row(n) for n in range(1, n_max + 1))
-    checks.append(CheckResult("first-letter recurrence reproduces the triangle", ok))
-    return checks
-
-
-def _suite_bijection(n_max: int) -> list:
-    from . import bijection
-    from .closedforms import CheckResult
-    from .perms import enumerate_avoiders, left_right_minima
-
-    checks = []
-    for n in range(1, n_max + 1):
-        source = enumerate_avoiders(n, bijection.SOURCE_PAIR, max_n=n_max)
-        target = set(enumerate_avoiders(n, bijection.TARGET_PAIR, max_n=n_max))
-        images = set()
-        ok = True
-        detail = ""
-        for perm in source:
-            image = bijection.forward(perm)
-            if image not in target:
-                ok, detail = False, f"{perm} maps outside the target class"
-                break
-            if left_right_minima(perm) != left_right_minima(image):
-                ok, detail = False, f"{perm} does not preserve minima"
-                break
-            if bijection.inverse(image) != perm:
-                ok, detail = False, f"{perm} fails the round trip"
-                break
-            images.add(image)
-        if ok and images != target:
-            ok, detail = False, f"not onto at n={n}"
-        checks.append(CheckResult(f"bijection exhaustive at n={n}", ok, detail))
-    return checks
-
-
-def _suite_series(depth: int) -> list:
-    from .closedforms import CheckResult, expand, verify_cleared
-    from .series import PolyAux, XSeries
-
-    checks = []
-    tri = expand("triangle_gf", 12)
-    rows = triangle_rows(12)
-    ok = all(
-        [tri.coefficient(n).coefficient(k, 0) for k in range(1, n + 1)] == rows[n - 1]
-        for n in range(1, 13)
-    )
-    checks.append(CheckResult("triangle closed form expands to the triangle rows (order 12)", ok))
-    sch = expand("schroeder_gf", 12)
-    ok = [sch.coefficient(n).coefficient(0, 0) for n in range(1, 13)] == schroeder_numbers(12)
-    checks.append(CheckResult("Schroeder closed form expands to the Schroeder numbers (order 12)", ok))
-    for tag in ("1243_1423", "1243_1342", "1243_1324"):
-        pair = parse_pair(tag.replace("_", ","))
-        coeffs = [PolyAux.zero()]
-        for n in range(1, depth + 1):
-            counts = first_letter_distribution(n, pair, max_n=depth)
-            coeffs.append(PolyAux({(i + 1, 0): c for i, c in enumerate(counts) if c}))
-        brute_gf = XSeries(coeffs, depth, guard=2 * depth + 4)
-        checks.append(
-            verify_cleared(
-                brute_gf, f"first_letter_{tag}", guard=2 * depth + 4,
-                name=f"first-letter closed form for {tag.replace('_', '/')} matches brute force",
-            )
-        )
-    return checks
-
-
-def _suite_systems(depth: int) -> list:
-    from .systems import verify_all
-
-    checks = []
-    for name, results in verify_all(depth=depth).items():
-        for result in results:
-            checks.append(type(result)(f"{name}: {result.name}", result.ok, result.detail))
-    return checks
-
-
-def _suite_inversion(n_max: int) -> list:
-    from .closedforms import CheckResult
-    from .schroeder import inversion_seq_distribution
-
-    rows = triangle_rows(n_max)
-    checks = []
-    for n in range(1, n_max + 1):
-        got = inversion_seq_distribution(n)
-        checks.append(
-            CheckResult(
-                f"inversion-sequence census equals triangle row at n={n}",
-                got == rows[n - 1],
-                "",
-            )
-        )
-    return checks
-
-
-SUITES = {
-    "conjecture": (_suite_conjecture, 9),
-    "recurrences": (_suite_recurrences, 9),
-    "bijection": (_suite_bijection, 8),
-    "series": (_suite_series, 9),
-    "systems": (_suite_systems, 8),
-    "inversion": (_suite_inversion, 9),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    runner, default_scale = SUITES[args.suite]
-    scale = args.deg if args.deg is not None else (args.n if args.n is not None else default_scale)
-    if args.suite in ("conjecture", "recurrences", "bijection"):
-        scale = min(scale, _brute_cap(args.big))
+    suite = suites.SUITES[args.suite]
+    scale = args.deg if args.deg is not None else (args.n if args.n is not None else suite.default_scale)
+    if scale < 1:
+        raise ValueError(f"the scale of a suite must be at least 1, got {scale}")
+    if suite.enumerates:
+        _check_brute_cap(scale, args.big)
     t0 = time.time()
-    checks = runner(scale)
+    checks = suite.run(scale)
     elapsed = time.time() - t0
-    all_ok = all(c.ok for c in checks)
+    ok = suites.all_ok(checks)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -401,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks
             ],
             "elapsed_seconds": round(elapsed, 3),
-            "all_ok": all_ok,
+            "all_ok": ok,
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -411,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"ok={sum(c.ok for c in checks)} elapsed={elapsed:.2f}s"
         )
         _emit("\n".join(lines), args.out)
-    return 0 if all_ok else 1
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +312,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--method", choices=("brute", "recurrence", "series"))
     p.add_argument("--check", action="store_true", help="run all available methods and diff")
+    p.add_argument("--big", action="store_true", help="raise the brute-force cap")
     p.set_defaults(func=cmd_distribution)
 
     p = sub.add_parser("table2", help="audit the embedded size-8 reference table")
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(SUITES))
+    p.add_argument("suite", choices=tuple(suites.SUITES))
     p.add_argument("--n", type=int, help="enumeration size for brute-force suites")
     p.add_argument("--deg", type=int, help="series truncation for series/systems suites")
+    p.add_argument("--big", action="store_true", help="raise the brute-force cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection", help="trace the class bijection on one permutation")
@@ -488,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
         sp.add_argument("--out", help="also write the output to this file")
-        sp.add_argument("--big", action="store_true", help="raise the brute-force cap")
     return parser
 
 

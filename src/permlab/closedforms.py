@@ -20,31 +20,18 @@ keyed by what the series counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .series import DEFAULT_GUARD, PolyAux, XSeries
+from .suites import CheckResult
 
 #: Truncation order used while building polynomial components; far above the
 #: true x-degree of any component (asserted below).
 _BUILD_TRUNC = 24
 _BUILD_DEGREE_LIMIT = 18
 _BUILD_GUARD = 16
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single verification, with a human-readable detail."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def __str__(self) -> str:
-        mark = "PASS" if self.ok else "FAIL"
-        tail = f"  ({self.detail})" if self.detail else ""
-        return f"[{mark}] {self.name}{tail}"
 
 
 @dataclass(frozen=True)
@@ -163,14 +150,17 @@ def verify_cleared(
     g = guard if guard is not None else max(target.guard, DEFAULT_GUARD)
     residual = form.denominator_series(trunc, g) * target.with_guard(g)
     residual = residual - form.numerator_series(trunc, g)
-    label = name or f"{form.name} matches the reference series"
-    bad = residual.first_nonzero()
+    return _residual(name or f"{form.name} matches the reference series", residual)
+
+
+def _residual(name: str, res: XSeries) -> CheckResult:
+    """Pass when ``res`` vanishes through its truncation order; else name its
+    first nonzero term."""
+    bad = res.first_nonzero()
     if bad is None:
-        return CheckResult(label, True, f"residual zero through x^{trunc}")
+        return CheckResult(name, True, f"residual zero through x^{res.trunc}")
     m, key, coeff = bad
-    return CheckResult(
-        label, False, f"residual {coeff} at x^{m}, aux degrees {key}"
-    )
+    return CheckResult(name, False, f"residual {coeff} at x^{m}, aux degrees {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,62 +375,41 @@ def _build_b_1243_1324() -> ClearedForm:
     return _form("b_1243_1324", ("v", "w"), p, ((q, r1),), dn, 4)
 
 
-def _rename(form: ClearedForm, name: str) -> ClearedForm:
-    return ClearedForm(
-        name=name,
-        aux_names=form.aux_names,
-        poly=form.poly,
-        radicals=form.radicals,
-        denom=form.denom,
-        start=form.start,
-    )
+#: Every closed form the package knows, by registry name: a builder each.
+#: The classes (1243, 1342) and (1243, 1324) share the printed closed forms
+#: for the ascent-part, descent-part and adjacent-ascent series; they are
+#: registered under both names and the tests confirm each against the
+#: recurrences of its own class.
+_BUILDERS = {
+    "schroeder_gf": _build_schroeder,
+    "schroeder_tail_gf": _build_schroeder_tail,
+    "triangle_gf": _build_triangle,
+    "sites_gf": _build_sites,
+    "first_letter_1243_1423": lambda: _build_first_letter("first_letter_1243_1423"),
+    "first_letter_1243_1342": lambda: _build_first_letter("first_letter_1243_1342"),
+    "first_letter_1243_1324": lambda: _build_first_letter("first_letter_1243_1324"),
+    "aplus_1243_1423": _build_aplus_1243_1423,
+    "aminus_1243_1423": _build_aminus_1243_1423,
+    "aplus_w1_1243_1423": _build_aplus_w1_1243_1423,
+    "aminus_w1_1243_1423": _build_aminus_w1_1243_1423,
+    "aplus_1243_1342": lambda: _joint_parts_1243_1342()["aplus"],
+    "aminus_1243_1342": lambda: _joint_parts_1243_1342()["aminus"],
+    "b_1243_1342": lambda: _joint_parts_1243_1342()["b"],
+    "c_1243_1342": lambda: _joint_parts_1243_1342()["c"],
+    "aplus_1243_1324": lambda: replace(_joint_parts_1243_1342()["aplus"], name="aplus_1243_1324"),
+    "aminus_1243_1324": lambda: replace(_joint_parts_1243_1342()["aminus"], name="aminus_1243_1324"),
+    "b_1243_1324": _build_b_1243_1324,
+    "c_1243_1324": lambda: replace(_joint_parts_1243_1342()["c"], name="c_1243_1324"),
+}
 
 
 @lru_cache(maxsize=None)
 def build_closed_form(name: str) -> ClearedForm:
-    """Closed form by registry name; see :func:`closed_form_names`.
-
-    The two classes (1243, 1342) and (1243, 1324) share the printed closed
-    forms for the ascent-part, descent-part and adjacent-ascent series;
-    they are registered under both names and the tests confirm each against
-    the recurrences of its own class.
-    """
-    parts_42 = None
-    if name in ("aplus_1243_1342", "aminus_1243_1342", "b_1243_1342", "c_1243_1342",
-                "aplus_1243_1324", "aminus_1243_1324", "c_1243_1324"):
-        parts_42 = _joint_parts_1243_1342()
-    builders = {
-        "schroeder_gf": _build_schroeder,
-        "schroeder_tail_gf": _build_schroeder_tail,
-        "triangle_gf": _build_triangle,
-        "sites_gf": _build_sites,
-        "first_letter_1243_1423": lambda: _build_first_letter("first_letter_1243_1423"),
-        "first_letter_1243_1342": lambda: _build_first_letter("first_letter_1243_1342"),
-        "first_letter_1243_1324": lambda: _build_first_letter("first_letter_1243_1324"),
-        "aplus_1243_1423": _build_aplus_1243_1423,
-        "aminus_1243_1423": _build_aminus_1243_1423,
-        "aplus_w1_1243_1423": _build_aplus_w1_1243_1423,
-        "aminus_w1_1243_1423": _build_aminus_w1_1243_1423,
-        "aplus_1243_1342": lambda: parts_42["aplus"],
-        "aminus_1243_1342": lambda: parts_42["aminus"],
-        "b_1243_1342": lambda: parts_42["b"],
-        "c_1243_1342": lambda: parts_42["c"],
-        "aplus_1243_1324": lambda: _rename(parts_42["aplus"], "aplus_1243_1324"),
-        "aminus_1243_1324": lambda: _rename(parts_42["aminus"], "aminus_1243_1324"),
-        "b_1243_1324": _build_b_1243_1324,
-        "c_1243_1324": lambda: _rename(parts_42["c"], "c_1243_1324"),
-    }
-    if name not in builders:
-        raise KeyError(f"unknown closed form {name!r}; known: {', '.join(sorted(builders))}")
-    return builders[name]()
+    """Closed form by registry name; see :func:`closed_form_names`."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown closed form {name!r}; known: {', '.join(sorted(_BUILDERS))}")
+    return _BUILDERS[name]()
 
 
 def closed_form_names() -> tuple[str, ...]:
-    return (
-        "schroeder_gf", "schroeder_tail_gf", "triangle_gf", "sites_gf",
-        "first_letter_1243_1423", "first_letter_1243_1342", "first_letter_1243_1324",
-        "aplus_1243_1423", "aminus_1243_1423",
-        "aplus_w1_1243_1423", "aminus_w1_1243_1423",
-        "aplus_1243_1342", "aminus_1243_1342", "b_1243_1342", "c_1243_1342",
-        "aplus_1243_1324", "aminus_1243_1324", "b_1243_1324", "c_1243_1324",
-    )
+    return tuple(_BUILDERS)

@@ -8,7 +8,7 @@ exact series computations; an equation with denominators is first cleared
 residual that must vanish identically through the truncation order.
 
 ``verify_system(name)`` runs one system and returns a list of
-:class:`~permlab.closedforms.CheckResult`; names:
+:class:`~permlab.suites.CheckResult`; names:
 
 * ``"sites"`` -- the joint (first letter, active sites) series, its
   functional equation, and its q = 1 collapse onto the triangle series.
@@ -19,22 +19,15 @@ residual that must vanish identically through the truncation order.
 
 from __future__ import annotations
 
-from .closedforms import CheckResult, build_closed_form, expand, verify_cleared
+from .closedforms import _residual, build_closed_form, expand, verify_cleared
 from .recurrences import joint_tables, site_polynomial
 from .schroeder import triangle_rows
 from .series import PolyAux, XSeries
+from .suites import CheckResult
 
 SYSTEMS = ("sites", "1243_1423", "1243_1342", "1243_1324")
 
 _AB = PolyAux({(1, 1): 1})
-
-
-def _residual(name: str, res: XSeries) -> CheckResult:
-    bad = res.first_nonzero()
-    if bad is None:
-        return CheckResult(name, True, f"residual zero through x^{res.trunc}")
-    m, key, coeff = bad
-    return CheckResult(name, False, f"residual {coeff} at x^{m}, aux degrees {key}")
 
 
 def _equal(name: str, left: XSeries, right: XSeries) -> CheckResult:
@@ -49,15 +42,6 @@ def _basis(depth: int, guard: int) -> tuple[XSeries, XSeries, XSeries, XSeries]:
     va = XSeries.constant(PolyAux.var_a(), depth, guard)
     vb = XSeries.constant(PolyAux.var_b(), depth, guard)
     return x, one, va, vb
-
-
-def _geometric(coef: PolyAux, depth: int, guard: int) -> XSeries:
-    """Series c*x / (1 - c*x) = sum_{k>=1} c^k x^k for a monomial c."""
-    coeffs = [PolyAux.one()]
-    for k in range(1, depth + 1):
-        coeffs.append(coeffs[-1] * coef)
-    coeffs[0] = PolyAux.zero()
-    return XSeries(coeffs, depth, guard)
 
 
 def _inv_linear(coef: PolyAux, depth: int, guard: int) -> XSeries:
@@ -244,9 +228,9 @@ def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
     ctx.check_descent_equation(checks, am_cf, "descent equation holds")
 
     # substituted ascent series used by the remaining equations
-    geom = _geometric(_AB, depth, guard)
+    inv = _inv_linear(_AB, depth, guard)
+    geom, vw_over = inv - 1, inv * _AB
     one_m_vwx = 1 - XSeries.monomial(_AB, 1, depth, guard)
-    vw_over = _inv_linear(_AB, depth, guard) * _AB
     ap_s1 = ctx.sub(ap_cf, sx=geom, sa=one_m_vwx, sb=1)
     ap_s2 = ctx.sub(ap_cf, sa=one_m_vwx, sb=vw_over)
     a111 = ctx.a_vwx_1_1()
@@ -352,9 +336,9 @@ def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
     )
 
     # large-ascent equation, cleared by (1-v-vwx)(1-vw-vwx)(1-w)
-    geom = _geometric(_AB, depth, guard)
+    inv = _inv_linear(_AB, depth, guard)
+    geom, vw_over = inv - 1, inv * _AB
     one_m_vwx = 1 - XSeries.monomial(_AB, 1, depth, guard)
-    vw_over = _inv_linear(_AB, depth, guard) * _AB
     bx_sx = XSeries.monomial(PolyAux.var_b(), 1, depth, guard)
     b_wx_v1 = ctx.sub(b_cf, sx=bx_sx, sa=PolyAux.var_a(), sb=1)
     c_wx_v = ctx.sub(c_cf, sx=bx_sx, sa=PolyAux.var_a())
@@ -418,9 +402,9 @@ def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
     # adjacent-ascent equation, cleared by (vx + v - 1)(1 - x); aux a = v only
     ax_sx = XSeries.monomial(PolyAux.var_a(), 1, depth, guard)
     a_vx11 = ctx.sub(ctx.a_dp, sx=ax_sx, sa=1, sb=1)
-    geom_a = _geometric(PolyAux.var_a(), depth, guard)
+    inv = _inv_linear(PolyAux.var_a(), depth, guard)
+    geom_a, v_over = inv - 1, inv * PolyAux.var_a()
     one_m_vx = 1 - XSeries.monomial(PolyAux.var_a(), 1, depth, guard)
-    v_over = _inv_linear(PolyAux.var_a(), depth, guard) * PolyAux.var_a()
     ap_s1 = ctx.sub(ap_cf, sx=geom_a, sa=one_m_vx, sb=1)
     ap_s2 = ctx.sub(ap_cf, sa=one_m_vx, sb=v_over)
     kern = v * x + v - 1

@@ -9,22 +9,10 @@ from __future__ import annotations
 
 import time
 
-from permlab import recurrences
-from permlab.closedforms import expand, verify_cleared
-from permlab.perms import (
-    active_site_census,
-    enumerate_avoiders,
-    first_letter_distribution,
-    first_second_distribution,
-    left_right_minima,
-)
-from permlab.schroeder import (
-    column_identity_holds,
-    inversion_seq_distribution,
-    schroeder_numbers,
-    triangle_row,
-    triangle_rows,
-)
+from permlab import recurrences, suites
+from permlab.closedforms import expand
+from permlab.perms import first_letter_distribution
+from permlab.schroeder import column_identity_holds, triangle_row, triangle_rows
 from permlab.series import PolyAux, XSeries
 
 # exhaustive enumeration depth of the nine-pair criterion
@@ -39,6 +27,22 @@ def _verdict(num: int, ok: bool, what: str, t0: float, budget: float | None = No
     if budget is not None:
         took += f" of {budget:g}s"
     print(f"[{mark}] criterion {num}: {what} ({took})")
+
+
+def _gate(num: int, what: str, suite, scale: int, budget: float | None = None) -> None:
+    """Run a verification suite as criterion ``num``: print the verdict and
+    every failing check, then assert that all checks passed in budget."""
+    t0 = time.perf_counter()
+    checks = suite(scale)
+    elapsed = time.perf_counter() - t0
+    ok = suites.all_ok(checks)
+    in_budget = budget is None or elapsed < budget
+    _verdict(num, ok and in_budget, what, t0, budget)
+    for check in checks:
+        if not check.ok:
+            print(f"    {check}")
+    assert ok, [str(c) for c in checks if not c.ok] or "the suite ran no checks"
+    assert in_budget
 
 
 TABLE_ONE = [
@@ -77,55 +81,17 @@ def test_criterion_02_reference_census_rows():
 
 
 def test_criterion_03_nine_pairs_follow_the_triangle():
-    from permlab.catalog import TRIANGLE_PAIRS
-
-    t0 = time.perf_counter()
-    rows = triangle_rows(FULL_N)
-    ok = True
-    for pair in TRIANGLE_PAIRS:
-        for n in range(1, FULL_N + 1):
-            if first_letter_distribution(n, pair, max_n=FULL_N) != rows[n - 1]:
-                ok = False
-    elapsed = time.perf_counter() - t0
-    _verdict(
-        3, ok and elapsed < 900,
-        f"nine pattern pairs match the triangle exactly for n <= {FULL_N}", t0, 900,
+    _gate(
+        3, f"nine pattern pairs match the triangle exactly for n <= {FULL_N}",
+        suites.check_conjecture, FULL_N, 900,
     )
-    assert ok
-    assert elapsed < 900
 
 
 def test_criterion_04_recurrences_match_enumeration():
-    t0 = time.perf_counter()
-    ok = True
-    for pair in recurrences.FIRST_LETTER_PAIRS:
-        rows = recurrences.first_letter_rows(9, pair)
-        for n in range(1, 10):
-            if rows[n - 1] != first_letter_distribution(n, pair):
-                ok = False
-    for pair in recurrences.SITE_PAIRS:
-        for n in range(1, 10):
-            table = recurrences.site_table(n, pair)
-            census = active_site_census(n, pair)
-            if any(
-                table[i][j] != int(census[i][j])
-                for i in range(1, n + 1)
-                for j in range(n + 2)
-            ):
-                ok = False
-    for pair in recurrences.JOINT_PAIRS:
-        for n in range(2, 10):
-            if recurrences.joint_table(n, pair).cells != (
-                first_second_distribution(n, pair).cells
-            ):
-                ok = False
-    elapsed = time.perf_counter() - t0
-    _verdict(
-        4, ok and elapsed < 120,
-        "all five recurrence families equal the enumeration censuses for n <= 9", t0, 120,
+    _gate(
+        4, "all five recurrence families equal the enumeration censuses for n <= 9",
+        suites.check_recurrences, 9, 120,
     )
-    assert ok
-    assert elapsed < 120
 
 
 def test_criterion_05_identity_suite():
@@ -144,114 +110,24 @@ def test_criterion_05_identity_suite():
 
 
 def test_criterion_06_bijection_suite():
-    from permlab.bijection import SOURCE_PAIR, TARGET_PAIR, forward, inverse
-
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 9):
-        source = enumerate_avoiders(n, SOURCE_PAIR)
-        target = set(enumerate_avoiders(n, TARGET_PAIR))
-        images = set()
-        for perm in source:
-            image = forward(perm)
-            if image not in target:
-                ok = False
-            if left_right_minima(image) != left_right_minima(perm):
-                ok = False
-            if inverse(image) != perm:
-                ok = False
-            images.add(image)
-        if len(images) != len(source) or images != target:
-            ok = False
-    elapsed = time.perf_counter() - t0
-    _verdict(
-        6, ok and elapsed < 180,
-        "bijection is onto, minima-preserving, and two-sided for n <= 8", t0, 180,
+    _gate(
+        6, "bijection is onto, minima-preserving, and two-sided for n <= 8",
+        suites.check_bijection, 8, 180,
     )
-    assert ok
-    assert elapsed < 180
-
-
-APLUS_TERMS = [
-    {(1, 2): 1},
-    {(2, 3): 1, (1, 3): 1, (1, 2): 1},
-    {(3, 4): 2, (2, 4): 2, (2, 3): 2, (1, 4): 2, (1, 3): 1, (1, 2): 1},
-]
-AMINUS_TERMS = [
-    {(2, 1): 1},
-    {(3, 2): 1, (3, 1): 1, (2, 1): 1},
-    {(4, 3): 2, (4, 2): 2, (4, 1): 2, (3, 2): 2, (3, 1): 2, (2, 1): 2},
-]
-B_1342_TERMS = [
-    {(1, 4): 2},
-    {(2, 5): 8, (1, 5): 4, (1, 4): 2},
-    {(3, 6): 34, (2, 6): 20, (2, 5): 10, (1, 6): 8, (1, 5): 4, (1, 4): 2},
-]
-B_1324_TERMS = [
-    {(1, 3): 1},
-    {(2, 4): 3, (1, 4): 2, (1, 3): 1},
-    {(3, 5): 11, (2, 5): 8, (2, 4): 4, (1, 5): 4, (1, 4): 2, (1, 3): 1},
-]
-C_TERMS = [
-    {(1, 0): 1},
-    {(2, 0): 2, (1, 0): 1},
-    {(3, 0): 6, (2, 0): 3, (1, 0): 1},
-    {(4, 0): 22, (3, 0): 11, (2, 0): 4, (1, 0): 1},
-]
-
-
-def _rows_of(series, n_range):
-    return [dict(series.coefficient(n).iter_terms()) for n in n_range]
 
 
 def test_criterion_07_series_suite():
-    t0 = time.perf_counter()
-    tri = expand("triangle_gf", 12)
-    rows = triangle_rows(12)
-    ok = all(
-        [tri.coefficient(n).coefficient(k, 0) for k in range(1, n + 1)] == rows[n - 1]
-        for n in range(1, 13)
+    _gate(
+        7, "closed forms expand to the tables and stated low orders",
+        suites.check_series, 9,
     )
-    sch = expand("schroeder_gf", 12)
-    ok = ok and [
-        sch.coefficient(n).coefficient(0, 0) for n in range(1, 13)
-    ] == schroeder_numbers(12)
-
-    for tag, pair in (
-        ("1243_1423", ((1, 2, 4, 3), (1, 4, 2, 3))),
-        ("1243_1342", ((1, 2, 4, 3), (1, 3, 4, 2))),
-        ("1243_1324", ((1, 2, 4, 3), (1, 3, 2, 4))),
-    ):
-        coeffs = [PolyAux.zero()]
-        for n in range(1, 10):
-            counts = first_letter_distribution(n, pair)
-            coeffs.append(PolyAux({(i + 1, 0): c for i, c in enumerate(counts) if c}))
-        brute_gf = XSeries(coeffs, 9, guard=22)
-        ok = ok and verify_cleared(brute_gf, f"first_letter_{tag}", guard=22).ok
-
-    for tag in ("1243_1342", "1243_1324"):
-        ok = ok and _rows_of(expand(f"aplus_{tag}", 4, guard=12), range(2, 5)) == APLUS_TERMS
-        ok = ok and _rows_of(expand(f"aminus_{tag}", 4, guard=12), range(2, 5)) == AMINUS_TERMS
-        ok = ok and _rows_of(expand(f"c_{tag}", 6, guard=16), range(3, 7)) == C_TERMS
-    ok = ok and _rows_of(expand("b_1243_1342", 7, guard=18), range(5, 8)) == B_1342_TERMS
-    ok = ok and _rows_of(expand("b_1243_1324", 6, guard=16), range(4, 7)) == B_1324_TERMS
-    _verdict(7, ok, "closed forms expand to the tables and stated low orders", t0)
-    assert ok
 
 
 def test_criterion_08_functional_equation_systems():
-    from permlab.systems import verify_all
-
-    t0 = time.perf_counter()
-    report = verify_all(depth=8)
-    ok = all(r.ok for results in report.values() for r in results)
-    elapsed = time.perf_counter() - t0
-    _verdict(
-        8, ok and elapsed < 300,
-        "all four functional-equation systems have zero residual at depth 8", t0, 300,
+    _gate(
+        8, "all four functional-equation systems have zero residual at depth 8",
+        suites.check_systems, 8, 300,
     )
-    assert ok
-    assert elapsed < 300
 
 
 def test_criterion_09_generating_tree_polynomial():
@@ -283,14 +159,7 @@ def test_criterion_09_generating_tree_polynomial():
 
 
 def test_criterion_10_inversion_sequences():
-    t0 = time.perf_counter()
-    ok = all(
-        inversion_seq_distribution(n) == triangle_row(n) for n in range(1, 10)
+    _gate(
+        10, "inversion-sequence census equals the triangle rows for n <= 9",
+        suites.check_inversion, 9, 60,
     )
-    elapsed = time.perf_counter() - t0
-    _verdict(
-        10, ok and elapsed < 60,
-        "inversion-sequence census equals the triangle rows for n <= 9", t0, 60,
-    )
-    assert ok
-    assert elapsed < 60

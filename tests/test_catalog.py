@@ -8,7 +8,6 @@ from permlab.catalog import (
     CATALOG,
     REFERENCE_N,
     TRIANGLE_PAIRS,
-    diff_catalog,
     entries,
     recompute_entry,
 )
@@ -56,7 +55,3 @@ def test_totals_split():
 )
 def test_recompute_single_entries(entry):
     assert recompute_entry(entry) == list(entry.counts)
-
-
-def test_full_catalog_matches_enumeration():
-    assert diff_catalog() == []

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from permlab.cli import main
+from permlab.series import XSeries
 
 
 def run(capsys, *argv):
@@ -151,6 +152,82 @@ def test_verify_inversion_is_not_clipped(capsys):
     assert payload["scale"] == 10
     assert len(payload["checks"]) == 10
     assert payload["all_ok"] is True
+
+
+def test_verify_enumerating_suites_refuse_above_the_cap(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "series", "--deg", "10")
+    assert code == 2
+    assert "--big" in err
+    assert out == ""
+    monkeypatch.setenv("PERMLAB_MAX_N", "8")
+    code, _, err = run(capsys, "verify", "conjecture", "--n", "9", "--big")
+    assert code == 2
+    assert "PERMLAB_MAX_N" in err
+
+
+@pytest.mark.parametrize("suite, flag, scale", [
+    ("conjecture", "--n", "-3"),
+    ("bijection", "--n", "0"),
+    ("inversion", "--n", "0"),
+    ("systems", "--deg", "0"),
+])
+def test_verify_scale_below_one_is_usage_error(capsys, suite, flag, scale):
+    code, out, err = run(capsys, "verify", suite, flag, scale)
+    assert code == 2
+    assert "at least 1" in err
+    assert "[PASS]" not in out
+
+
+def test_verify_with_no_checks_fails(capsys, monkeypatch):
+    from permlab import suites
+
+    empty = suites.SUITES["inversion"]._replace(run=lambda scale: [])
+    monkeypatch.setitem(suites.SUITES, "inversion", empty)
+    code, out, _ = run(capsys, "verify", "inversion", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["all_ok"] is False
+
+
+def _bump_last(counts):
+    # a copy with the last count (of the last row, for a table) raised by one
+    last = counts[-1]
+    return counts[:-1] + [_bump_last(last) if isinstance(last, list) else last + 1]
+
+
+def _then(bump):
+    return lambda real: lambda *args, **kwargs: bump(real(*args, **kwargs))
+
+
+@pytest.mark.parametrize("suite, flag, route, skew", [
+    ("conjecture", "--n", "perms.first_letter_distribution", _then(_bump_last)),
+    ("recurrences", "--n", "recurrences.site_table", _then(_bump_last)),
+    ("bijection", "--n", "bijection.inverse",
+     _then(lambda perm: perm[::-1] if len(perm) == 3 else perm)),
+    ("series", "--deg", "closedforms.expand", _then(lambda s: s + XSeries.x(s.trunc, s.guard))),
+    ("systems", "--deg", "systems._residual",
+     lambda real: lambda name, res: real(name, res + 1 if name.startswith("site series") else res)),
+    ("inversion", "--n", "schroeder.inversion_seq_distribution", _then(_bump_last)),
+])
+def test_each_suite_can_fail(capsys, monkeypatch, suite, flag, route, skew):
+    # one skewed input route must turn the suite, and the command, into a failure
+    import importlib
+
+    from permlab import suites
+
+    module, attr = route.split(".")
+    mod = importlib.import_module(f"permlab.{module}")
+    monkeypatch.setattr(mod, attr, skew(getattr(mod, attr)))
+    assert any(not c.ok for c in suites.SUITES[suite].run(5))
+    code, out, _ = run(capsys, "verify", suite, flag, "5")
+    assert code == 1
+    assert "[FAIL]" in out
+
+
+@pytest.mark.parametrize("argv", [["triangle"], ["table2"], ["bijection", "132"]])
+def test_big_only_where_it_applies(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--big"])
+    assert excinfo.value.code == 2
 
 
 def test_verify_json_report(capsys, tmp_path):

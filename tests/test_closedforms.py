@@ -8,7 +8,6 @@ import pytest
 
 from permlab import closedforms
 from permlab.closedforms import (
-    CheckResult,
     build_closed_form,
     closed_form_names,
     expand,
@@ -16,6 +15,14 @@ from permlab.closedforms import (
 )
 from permlab.schroeder import schroeder_numbers, triangle_rows
 from permlab.series import PolyAux, XSeries
+from permlab.suites import (
+    AMINUS_TERMS,
+    APLUS_TERMS,
+    B_1324_TERMS,
+    B_1342_TERMS,
+    C_TERMS,
+    CheckResult,
+)
 
 
 def poly_rows(series, n_range):
@@ -124,38 +131,6 @@ def test_expand_enforces_valuation():
 # ---------------------------------------------------------------------------
 # stated low-order expansions of the ascent/descent split forms
 # ---------------------------------------------------------------------------
-
-APLUS_TERMS = [
-    {(1, 2): 1},
-    {(2, 3): 1, (1, 3): 1, (1, 2): 1},
-    {(3, 4): 2, (2, 4): 2, (2, 3): 2, (1, 4): 2, (1, 3): 1, (1, 2): 1},
-]
-
-AMINUS_TERMS = [
-    {(2, 1): 1},
-    {(3, 2): 1, (3, 1): 1, (2, 1): 1},
-    {(4, 3): 2, (4, 2): 2, (4, 1): 2, (3, 2): 2, (3, 1): 2, (2, 1): 2},
-]
-
-B_1342_TERMS = [
-    {(1, 4): 2},
-    {(2, 5): 8, (1, 5): 4, (1, 4): 2},
-    {(3, 6): 34, (2, 6): 20, (2, 5): 10, (1, 6): 8, (1, 5): 4, (1, 4): 2},
-]
-
-B_1324_TERMS = [
-    {(1, 3): 1},
-    {(2, 4): 3, (1, 4): 2, (1, 3): 1},
-    {(3, 5): 11, (2, 5): 8, (2, 4): 4, (1, 5): 4, (1, 4): 2, (1, 3): 1},
-]
-
-C_TERMS = [
-    {(1, 0): 1},
-    {(2, 0): 2, (1, 0): 1},
-    {(3, 0): 6, (2, 0): 3, (1, 0): 1},
-    {(4, 0): 22, (3, 0): 11, (2, 0): 4, (1, 0): 1},
-]
-
 
 @pytest.mark.parametrize("tag", ["1243_1342", "1243_1324"])
 def test_ascent_form_low_orders(tag):
