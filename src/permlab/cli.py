@@ -122,6 +122,8 @@ def _distribution_by(pair: Pair, n: int, method: str, big: bool) -> list[int]:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be at least 1, got {args.n}")
     pair = parse_pair(args.pair)
     methods = _distribution_methods(pair)
     if args.check:
@@ -320,8 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=tuple(suites.SUITES))
-    p.add_argument("--n", type=int, help="enumeration size for brute-force suites")
-    p.add_argument("--deg", type=int, help="series truncation for series/systems suites")
+    scale = p.add_mutually_exclusive_group()
+    scale.add_argument("--n", type=int, help="enumeration size for brute-force suites")
+    scale.add_argument("--deg", type=int, help="series truncation for series/systems suites")
     p.add_argument("--big", action="store_true", help="raise the brute-force cap")
     p.set_defaults(func=cmd_verify)
 

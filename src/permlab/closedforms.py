@@ -66,30 +66,22 @@ class ClearedForm:
         sa: PolyAux | int | Fraction | None = None,
         sb: PolyAux | int | Fraction | None = None,
         name: str | None = None,
-        aux_names: tuple[str, str] | None = None,
     ) -> "ClearedForm":
         """Closed form with polynomials substituted for the aux variables.
 
         The radicands must keep constant term 1 (true for any substitution
         that fixes their aux-free part, e.g. specialising q = 1).
         """
-        pa = PolyAux.var_a() if sa is None else PolyAux.coerce(sa)
-        pb = PolyAux.var_b() if sb is None else PolyAux.coerce(sb)
 
         def conv(component: XSeries) -> XSeries:
-            return XSeries(
-                [c.compose(pa, pb) for c in component.coeffs],
-                component.trunc,
-                component.guard,
-            )
+            return component.substitute(sa=sa, sb=sb)
 
-        return ClearedForm(
+        return replace(
+            self,
             name=name or self.name,
-            aux_names=aux_names or self.aux_names,
             poly=conv(self.poly),
             radicals=tuple((conv(q), conv(r)) for q, r in self.radicals),
             denom=conv(self.denom),
-            start=self.start,
         )
 
 
@@ -195,21 +187,14 @@ def _form(name, aux_names, poly, radicals, denom, start) -> ClearedForm:
     )
 
 
-def _build_schroeder() -> ClearedForm:
+def _build_schroeder(name: str, head: int, start: int) -> ClearedForm:
+    # (1 - head x - sqrt(1 - 6x + x^2)) / 2: the series from x^1 (head 1)
+    # or its tail from x^2 (head 3)
     x, _, _ = _xyz()
     return _form(
-        "schroeder_gf", ("", ""),
-        1 - x, (((-1) * XSeries.one(_BUILD_TRUNC, _BUILD_GUARD), 1 - 6 * x + x * x),),
-        XSeries.constant(2, _BUILD_TRUNC, _BUILD_GUARD), 1,
-    )
-
-
-def _build_schroeder_tail() -> ClearedForm:
-    x, _, _ = _xyz()
-    return _form(
-        "schroeder_tail_gf", ("", ""),
-        1 - 3 * x, (((-1) * XSeries.one(_BUILD_TRUNC, _BUILD_GUARD), 1 - 6 * x + x * x),),
-        XSeries.constant(2, _BUILD_TRUNC, _BUILD_GUARD), 2,
+        name, ("", ""),
+        1 - head * x, (((-1) * XSeries.one(_BUILD_TRUNC, _BUILD_GUARD), 1 - 6 * x + x * x),),
+        XSeries.constant(2, _BUILD_TRUNC, _BUILD_GUARD), start,
     )
 
 
@@ -239,19 +224,11 @@ def _build_sites() -> ClearedForm:
     return _form("sites_gf", ("y", "q"), poly, (rad,), denom, 1)
 
 
-def _first_letter_parts() -> tuple[XSeries, XSeries, XSeries, XSeries]:
-    x, v, _ = _xyz()
-    p = v * x * (2 - 3 * v - 3 * x + 3 * v * x) + (v * x) ** 2 * (v + x - v * x)
-    q = v * x * (v + x - v * x)
-    r = 1 - 6 * v * x + (v * x) ** 2
-    dn = 2 * (1 - v - 2 * x + v * x)
-    return p, q, r, dn
-
-
 def _build_first_letter(name: str) -> ClearedForm:
-    # the three classes share one printed formula; each is checked against
-    # its own recurrence and brute-force counts in the tests
-    p, q, r, dn = _first_letter_parts()
+    # the three classes share one printed formula, the triangle series read
+    # with y = v; each is checked against its own recurrence and brute-force
+    # counts in the tests
+    p, q, r, dn = _triangle_parts()
     return _form(name, ("v", ""), p, ((q, r),), dn, 1)
 
 
@@ -381,8 +358,8 @@ def _build_b_1243_1324() -> ClearedForm:
 #: registered under both names and the tests confirm each against the
 #: recurrences of its own class.
 _BUILDERS = {
-    "schroeder_gf": _build_schroeder,
-    "schroeder_tail_gf": _build_schroeder_tail,
+    "schroeder_gf": lambda: _build_schroeder("schroeder_gf", 1, 1),
+    "schroeder_tail_gf": lambda: _build_schroeder("schroeder_tail_gf", 3, 2),
     "triangle_gf": _build_triangle,
     "sites_gf": _build_sites,
     "first_letter_1243_1423": lambda: _build_first_letter("first_letter_1243_1423"),

@@ -116,7 +116,7 @@ def site_table(n: int, pair: Pair | str | None = None) -> list[list[int]]:
     _normalize_pair(pair, SITE_PAIRS, "the active-site recurrence")
     if n < 1:
         raise ValueError("need n >= 1")
-    tables = [None, [[0] * 4 for _ in range(2)]]
+    tables = [None, [[0] * 3 for _ in range(2)]]
     tables[1][1][2] = 1
     for m in range(2, n + 1):
         prev = tables[-1]

@@ -17,6 +17,11 @@ x^m may use auxiliary total degree at most 2 m + guard.  Exceeding it
 raises :class:`AuxDegreeError` rather than silently producing garbage; the
 guard is per-series and can be widened where substitutions legitimately
 raise degrees.
+
+Substitution has one path: :meth:`XSeries.substitute` is a single Horner
+pass over the main variable that calls :meth:`PolyAux.compose` for each
+coefficient, and every intermediate series of that pass is checked
+against the envelope.
 """
 
 from __future__ import annotations
@@ -235,22 +240,41 @@ class PolyAux:
                     rem.pop(key, None)
         return PolyAux(quo)
 
-    def compose(self, pa: "PolyAux | Coeff", pb: "PolyAux | Coeff") -> "PolyAux":
-        """Substitute polynomials (or constants) for the two aux variables."""
-        pa = PolyAux.coerce(pa)
-        pb = PolyAux.coerce(pb)
-        pow_a: dict[int, PolyAux] = {0: PolyAux.one()}
-        pow_b: dict[int, PolyAux] = {0: PolyAux.one()}
+    def compose(
+        self, pa: "XSeries | PolyAux | Coeff", pb: "XSeries | PolyAux | Coeff"
+    ) -> "XSeries | PolyAux":
+        """Substitute polynomials, constants or series for the two aux variables.
 
-        def power(cache: dict[int, PolyAux], base: PolyAux, e: int) -> PolyAux:
-            while e not in cache:
-                top = max(cache)
-                cache[top + 1] = cache[top] * base
+        The result is a PolyAux when neither value is a series, else an
+        XSeries, whose every intermediate is checked against the degree
+        envelope of the series it was given.  This is the one place that
+        caches powers; :meth:`XSeries.substitute` calls it per coefficient.
+
+        >>> a, b = PolyAux.var_a(), PolyAux.var_b()
+        >>> print((a * a + b).compose(b, 2).to_str(("a", "b")))
+        2 + b^2
+        """
+        pa, pb = (v if isinstance(v, XSeries) else PolyAux.coerce(v) for v in (pa, pb))
+        lifted = pa if isinstance(pa, XSeries) else pb
+        if isinstance(lifted, XSeries):
+            out = XSeries.zero(lifted.trunc, lifted.guard)
+        else:
+            out = PolyAux.zero()
+        # pow_a[e] = pa**e and pow_b[e] = pb**e, made on demand; 1 serves both types
+        pow_a: list = [1]
+        pow_b: list = [1]
+
+        def power(cache: list, base, e: int):
+            while len(cache) <= e:
+                cache.append(cache[-1] * base)
             return cache[e]
 
-        out = PolyAux.zero()
+        # sum over da of pa^da * (sum over db of c * pb^db): one product per da
+        parts: dict[int, object] = {}
         for (da, db), c in self.terms.items():
-            out = out + power(pow_a, pa, da) * power(pow_b, pb, db) * c
+            parts[da] = parts.get(da, 0) + power(pow_b, pb, db) * c
+        for da, part in parts.items():
+            out = out + power(pow_a, pa, da) * part
         return out
 
     def evaluate(self, va: Coeff, vb: Coeff) -> Coeff:
@@ -556,53 +580,29 @@ class XSeries:
         respective variable.  Substitutions routinely raise aux degrees
         (e.g. sending the main variable to v*w*x), so a wider guard may be
         passed for the result.
+
+        The composite is one Horner pass from the top coefficient down,
+        ``result = result * sx + c.compose(sa, sb)``, so series products
+        are made only for series-valued aux variables, and every
+        intermediate is checked against the envelope of the result's guard.
         """
-        trunc = self.trunc
-        if sx is not None:
-            trunc = min(trunc, sx.trunc)
-        for s in (sa, sb):
-            if isinstance(s, XSeries):
-                trunc = min(trunc, s.trunc)
         out_guard = self.guard if guard is None else guard
-        if sx is None:
-            sx = XSeries.x(trunc, out_guard)
+        trunc = min([self.trunc] + [s.trunc for s in (sx, sa, sb) if isinstance(s, XSeries)])
+        sx = XSeries.x(trunc, out_guard) if sx is None else sx.truncate(trunc).with_guard(out_guard)
         if not sx.coeffs[0].is_zero():
             raise ValueError("substitution for the main variable needs zero constant term")
-        if sa is None:
-            sa_ser = XSeries.constant(PolyAux.var_a(), trunc, out_guard)
-        else:
-            sa_ser = sa if isinstance(sa, XSeries) else XSeries.constant(sa, trunc, out_guard)
-        if sb is None:
-            sb_ser = XSeries.constant(PolyAux.var_b(), trunc, out_guard)
-        else:
-            sb_ser = sb if isinstance(sb, XSeries) else XSeries.constant(sb, trunc, out_guard)
-        sx = sx.truncate(trunc).with_guard(out_guard)
-        sa_ser = sa_ser.truncate(trunc).with_guard(out_guard)
-        sb_ser = sb_ser.truncate(trunc).with_guard(out_guard)
 
-        pow_x: dict[int, XSeries] = {0: XSeries.one(trunc, out_guard)}
-        pow_a: dict[int, XSeries] = {0: XSeries.one(trunc, out_guard)}
-        pow_b: dict[int, XSeries] = {0: XSeries.one(trunc, out_guard)}
+        def lift(value, keep: PolyAux):
+            if value is None:
+                return keep
+            if isinstance(value, XSeries):
+                return value.truncate(trunc).with_guard(out_guard)
+            return value
 
-        def power(cache: dict[int, XSeries], base: XSeries, e: int) -> XSeries:
-            while e not in cache:
-                top = max(cache)
-                cache[top + 1] = cache[top] * base
-            return cache[e]
-
+        sa, sb = lift(sa, PolyAux.var_a()), lift(sb, PolyAux.var_b())
         result = XSeries.zero(trunc, out_guard)
-        for m in range(trunc + 1):
-            if m > self.trunc:
-                break
-            cm = self.coeffs[m]
-            if cm.is_zero():
-                continue
-            # exact composite of this coefficient's aux monomials
-            part = XSeries.zero(trunc, out_guard)
-            for (da, db), c in cm.iter_terms():
-                term = power(pow_a, sa_ser, da) * power(pow_b, sb_ser, db) * c
-                part = part + term
-            result = result + power(pow_x, sx, m) * part
+        for c in reversed(self.coeffs[: trunc + 1]):
+            result = result * sx + c.compose(sa, sb)
         return result
 
     # -- display -----------------------------------------------------------

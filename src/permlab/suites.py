@@ -73,11 +73,7 @@ def check_recurrences(n_max: int) -> list[CheckResult]:
     from .schroeder import triangle_rows
 
     def sites_agree(n: int, pair) -> bool:
-        table = recurrences.site_table(n, pair)
-        census = active_site_census(n, pair, max_n=n_max)
-        return all(
-            table[i][j] == int(census[i][j]) for i in range(1, n + 1) for j in range(n + 2)
-        )
+        return recurrences.site_table(n, pair) == active_site_census(n, pair, max_n=n_max).tolist()
 
     checks = []
     for pair in recurrences.FIRST_LETTER_PAIRS:

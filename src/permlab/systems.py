@@ -44,12 +44,10 @@ def _basis(depth: int, guard: int) -> tuple[XSeries, XSeries, XSeries, XSeries]:
     return x, one, va, vb
 
 
-def _inv_linear(coef: PolyAux, depth: int, guard: int) -> XSeries:
-    """Series 1 / (1 - c*x) = sum_{k>=0} c^k x^k for a monomial c."""
-    coeffs = [PolyAux.one()]
-    for k in range(1, depth + 1):
-        coeffs.append(coeffs[-1] * coef)
-    return XSeries(coeffs, depth, guard)
+def _kernel_values(c: PolyAux, depth: int, guard: int) -> tuple[XSeries, XSeries, XSeries]:
+    """The kernel-method values cx/(1-cx), 1-cx and c/(1-cx) for a monomial c."""
+    inv = XSeries([c**k for k in range(depth + 1)], depth, guard)
+    return inv - 1, 1 - XSeries.monomial(c, 1, depth, guard), inv * c
 
 
 # -- series assembled from the recurrence tables -----------------------------
@@ -71,16 +69,10 @@ def _joint_series(pair: str, depth: int, guard: int, sel) -> XSeries:
 
 def _adjacent_series(pair: str, depth: int, guard: int, offset: int, i_max_off: int) -> XSeries:
     """sum_n x^n sum_i a_n(i, i+offset) v^i, for i <= n - i_max_off."""
-    coeffs = [PolyAux.zero() for _ in range(depth + 1)]
-    if depth >= 2:
-        for table in joint_tables(depth, pair):
-            terms = {}
-            for i in range(1, table.n - i_max_off + 1):
-                value = table.value(i, i + offset) if i + offset <= table.n else 0
-                if value:
-                    terms[(i, 0)] = value
-            coeffs[table.n] = PolyAux(terms)
-    return XSeries(coeffs, depth, guard)
+    cells = _joint_series(
+        pair, depth, guard, lambda i, j, n: j == i + offset and i <= n - i_max_off
+    )
+    return cells.substitute(sb=1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def _verify_sites(depth: int, guard: int) -> list[CheckResult]:
         [PolyAux.zero()] + [site_polynomial(n) for n in range(1, depth + 1)],
         depth, guard,
     )
-    f1 = XSeries([c.compose(PolyAux.var_a(), 1) for c in f.coeffs], depth, guard)
+    f1 = f.substitute(sb=1)
 
     # polynomial recurrence summed over n (cleared by (2-y)(1-2xq)(1-xyq)(1-q))
     k1 = 1 - 2 * x * q
@@ -131,9 +123,8 @@ def _verify_sites(depth: int, guard: int) -> list[CheckResult]:
     rows = triangle_rows(depth) if depth >= 1 else []
     ok = True
     for n in range(1, depth + 1):
-        vq1 = f.coefficient(n).compose(PolyAux.var_a(), 1)
         want = PolyAux({(k, 0): rows[n - 1][k - 1] for k in range(1, n + 1)})
-        if vq1 != want:
+        if f1.coefficient(n) != want:
             ok = False
             break
     checks.append(
@@ -153,44 +144,33 @@ class _JointContext:
     """Precomputed series and substitutions for one joint-letter system."""
 
     def __init__(self, pair: str, depth: int, guard: int):
-        self.depth = depth
         self.guard = guard
-        self.x, self.one, self.v, self.w = _basis(depth, guard)
+        self.x, _, self.v, self.w = _basis(depth, guard)
         self.ap_dp = _joint_series(pair, depth, guard, lambda i, j, n: i < j)
         self.am_dp = _joint_series(pair, depth, guard, lambda i, j, n: i > j)
         self.a_dp = self.ap_dp + self.am_dp
 
-    def sub(self, series: XSeries, sx=None, sa=None, sb=None) -> XSeries:
-        return series.substitute(sx=sx, sa=sa, sb=sb, guard=self.guard)
-
     # substituted copies of the total series A used by every system
-    def a_x_vw_1(self) -> XSeries:
-        return self.sub(self.a_dp, sa=_AB, sb=1)
-
-    def a_vx_w_1(self) -> XSeries:
-        sx = XSeries.monomial(PolyAux.var_a(), 1, self.depth, self.guard)
-        return self.sub(self.a_dp, sx=sx, sa=PolyAux.var_b(), sb=1)
-
     def a_wx_v_1(self) -> XSeries:
-        sx = XSeries.monomial(PolyAux.var_b(), 1, self.depth, self.guard)
-        return self.sub(self.a_dp, sx=sx, sa=PolyAux.var_a(), sb=1)
+        return self.a_dp.substitute(sx=self.w * self.x, sa=PolyAux.var_a(), sb=1)
 
     def a_vwx_1_1(self) -> XSeries:
-        sx = XSeries.monomial(_AB, 1, self.depth, self.guard)
-        return self.sub(self.a_dp, sx=sx, sa=1, sb=1)
+        return self.a_dp.substitute(sx=self.v * self.w * self.x, sa=1, sb=1)
 
     def check_descent_equation(self, checks: list[CheckResult], am: XSeries, label: str) -> None:
         """(1-v) A^- = (1-v) v^2 w x^2 + vx A(x,vw,1) - v^2 x A(vx,w,1)."""
-        x, one, v, w = self.x, self.one, self.v, self.w
+        x, v, w = self.x, self.v, self.w
+        a_x_vw_1 = self.a_dp.substitute(sa=_AB, sb=1)
+        a_vx_w_1 = self.a_dp.substitute(sx=v * x, sa=PolyAux.var_b(), sb=1)
         res = (1 - v) * am - (1 - v) * v * v * w * x * x
-        res = res - v * x * self.a_x_vw_1() + v * v * x * self.a_vx_w_1()
+        res = res - v * x * a_x_vw_1 + v * v * x * a_vx_w_1
         checks.append(_residual(label, res))
 
 
 def _first_letter_check(tag: str, ctx: _JointContext) -> CheckResult:
     """first-letter closed form == vx + A(x,v,1) with A from the tables."""
-    a_v1 = ctx.sub(ctx.a_dp, sb=1)
-    target = a_v1 + XSeries.monomial(PolyAux.var_a(), 1, ctx.depth, ctx.guard)
+    a_v1 = ctx.a_dp.substitute(sb=1)
+    target = a_v1 + ctx.v * ctx.x
     return verify_cleared(
         target, f"first_letter_{tag}", guard=ctx.guard,
         name=f"first-letter closed form for {tag.replace('_', '/')} matches the tables",
@@ -204,19 +184,18 @@ def _first_letter_check(tag: str, ctx: _JointContext) -> CheckResult:
 def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     ctx = _JointContext("1243,1423", depth, guard)
-    x, one, v, w = ctx.x, ctx.one, ctx.v, ctx.w
+    x, v, w = ctx.x, ctx.v, ctx.w
 
     c_dp = _adjacent_series("1243,1423", depth, guard, 1, 1)
     d_dp = _adjacent_series("1243,1423", depth, guard, 2, 2)
     b_dp = _joint_series("1243,1423", depth, guard, lambda i, j, n: j >= i + 3)
-    c_vw = ctx.sub(c_dp, sa=_AB)
-    d_vw = ctx.sub(d_dp, sa=_AB)
+    c_vw = c_dp.substitute(sa=_AB)
+    d_vw = d_dp.substitute(sa=_AB)
 
-    w_ser = XSeries.constant(PolyAux.var_b(), depth, guard)
     checks.append(
         _equal(
             "ascent series splits as wC(x,vw) + w^2 D(x,vw) + B",
-            ctx.ap_dp, w_ser * c_vw + w_ser * w_ser * d_vw + b_dp,
+            ctx.ap_dp, w * c_vw + w * w * d_vw + b_dp,
         )
     )
 
@@ -228,11 +207,9 @@ def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
     ctx.check_descent_equation(checks, am_cf, "descent equation holds")
 
     # substituted ascent series used by the remaining equations
-    inv = _inv_linear(_AB, depth, guard)
-    geom, vw_over = inv - 1, inv * _AB
-    one_m_vwx = 1 - XSeries.monomial(_AB, 1, depth, guard)
-    ap_s1 = ctx.sub(ap_cf, sx=geom, sa=one_m_vwx, sb=1)
-    ap_s2 = ctx.sub(ap_cf, sa=one_m_vwx, sb=vw_over)
+    geom, one_m_vwx, vw_over = _kernel_values(_AB, depth, guard)
+    ap_s1 = ap_cf.substitute(sx=geom, sa=one_m_vwx, sb=1)
+    ap_s2 = ap_cf.substitute(sa=one_m_vwx, sb=vw_over)
     a111 = ctx.a_vwx_1_1()
     kern_vw = v * w * x + v * w - 1
     kern_v = v * w * x + v - 1
@@ -254,7 +231,7 @@ def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
     checks.append(_residual("double-ascent equation holds", res))
 
     # large-ascent equation, cleared by v (vwx + v - 1)
-    b_s2 = ctx.sub(b_dp, sa=one_m_vwx, sb=vw_over)
+    b_s2 = b_dp.substitute(sa=one_m_vwx, sb=vw_over)
     res = v * kern_v * (b_dp - w * x * b_dp - w**3 * x * d_vw - x * b_dp)
     res = res + v * v * w * x * x * b_dp
     res = res - v * w * w * x * x * (1 - v * w * x) * ap_s2
@@ -275,19 +252,19 @@ def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
     checks.append(
         _equal(
             "ascent series at w=1 matches its closed form",
-            ctx.sub(ap_cf, sb=1), expand("aplus_w1_1243_1423", depth, guard),
+            ap_cf.substitute(sb=1), expand("aplus_w1_1243_1423", depth, guard),
         )
     )
     checks.append(
         _equal(
             "descent series at w=1 matches its closed form",
-            ctx.sub(am_cf, sb=1), expand("aminus_w1_1243_1423", depth, guard),
+            am_cf.substitute(sb=1), expand("aminus_w1_1243_1423", depth, guard),
         )
     )
     checks.append(
         _equal(
             "total series at v=w=1 matches the Schroeder tail",
-            ctx.sub(ctx.a_dp, sa=1, sb=1), expand("schroeder_tail_gf", depth, guard),
+            ctx.a_dp.substitute(sa=1, sb=1), expand("schroeder_tail_gf", depth, guard),
         )
     )
     checks.append(_first_letter_check("1243_1423", ctx))
@@ -301,7 +278,7 @@ def _verify_1243_1423(depth: int, guard: int) -> list[CheckResult]:
 def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     ctx = _JointContext("1243,1342", depth, guard)
-    x, one, v, w = ctx.x, ctx.one, ctx.v, ctx.w
+    x, v, w = ctx.x, ctx.v, ctx.w
 
     c_dp = _adjacent_series("1243,1342", depth, guard, 1, 2)
     b_dp = _joint_series("1243,1342", depth, guard, lambda i, j, n: j >= i + 3 and j <= n - 1)
@@ -317,7 +294,7 @@ def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
 
     ctx.check_descent_equation(checks, am_cf, "descent equation holds")
 
-    c_vw = ctx.sub(c_cf, sa=_AB)
+    c_vw = c_cf.substitute(sa=_AB)
     a111 = ctx.a_vwx_1_1()
     a_wx_v1 = ctx.a_wx_v_1()
 
@@ -327,7 +304,7 @@ def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
     checks.append(_residual("ascent equation holds", res))
 
     # adjacent-ascent equation, cleared by v
-    ap_x_1_v = ctx.sub(ap_cf, sa=1, sb=PolyAux.var_a())
+    ap_x_1_v = ap_cf.substitute(sa=1, sb=PolyAux.var_a())
     checks.append(
         _residual(
             "adjacent-ascent equation holds",
@@ -336,15 +313,12 @@ def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
     )
 
     # large-ascent equation, cleared by (1-v-vwx)(1-vw-vwx)(1-w)
-    inv = _inv_linear(_AB, depth, guard)
-    geom, vw_over = inv - 1, inv * _AB
-    one_m_vwx = 1 - XSeries.monomial(_AB, 1, depth, guard)
-    bx_sx = XSeries.monomial(PolyAux.var_b(), 1, depth, guard)
-    b_wx_v1 = ctx.sub(b_cf, sx=bx_sx, sa=PolyAux.var_a(), sb=1)
-    c_wx_v = ctx.sub(c_cf, sx=bx_sx, sa=PolyAux.var_a())
-    b_s1 = ctx.sub(b_cf, sx=geom, sa=one_m_vwx, sb=1)
-    b_s2 = ctx.sub(b_cf, sa=one_m_vwx, sb=vw_over)
-    c_s1 = ctx.sub(c_cf, sx=geom, sa=one_m_vwx)
+    geom, one_m_vwx, vw_over = _kernel_values(_AB, depth, guard)
+    b_wx_v1 = b_cf.substitute(sx=w * x, sa=PolyAux.var_a(), sb=1)
+    c_wx_v = c_cf.substitute(sx=w * x, sa=PolyAux.var_a())
+    b_s1 = b_cf.substitute(sx=geom, sa=one_m_vwx, sb=1)
+    b_s2 = b_cf.substitute(sa=one_m_vwx, sb=vw_over)
+    c_s1 = c_cf.substitute(sx=geom, sa=one_m_vwx)
     k_v = 1 - v - v * w * x
     k_vw = 1 - v * w - v * w * x
     res = k_v * k_vw * (1 - w) * b_cf
@@ -366,7 +340,7 @@ def _verify_1243_1342(depth: int, guard: int) -> list[CheckResult]:
 def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
     ctx = _JointContext("1243,1324", depth, guard)
-    x, one, v, w = ctx.x, ctx.one, ctx.v, ctx.w
+    x, v, w = ctx.x, ctx.v, ctx.w
 
     c_dp = _adjacent_series("1243,1324", depth, guard, 1, 2)
     b_dp = _joint_series("1243,1324", depth, guard, lambda i, j, n: j >= i + 2 and j <= n - 1)
@@ -382,7 +356,7 @@ def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
 
     ctx.check_descent_equation(checks, am_cf, "descent equation holds")
 
-    c_vw = ctx.sub(c_cf, sa=_AB)
+    c_vw = c_cf.substitute(sa=_AB)
     a111 = ctx.a_vwx_1_1()
     a_wx_v1 = ctx.a_wx_v_1()
 
@@ -391,7 +365,7 @@ def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
     checks.append(_residual("ascent equation holds", res))
 
     # large-ascent equation, cleared by (1-v)
-    b_x_1_vw = ctx.sub(b_cf, sa=1, sb=_AB)
+    b_x_1_vw = b_cf.substitute(sa=1, sb=_AB)
     res = (1 - v) * b_cf - w * x * (v * b_cf - b_x_1_vw)
     res = res - (1 - v) * (
         x * b_cf + w * x * x * a_wx_v1 - v * w * w * x**3 * a111
@@ -400,13 +374,10 @@ def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
     checks.append(_residual("large-ascent equation holds", res))
 
     # adjacent-ascent equation, cleared by (vx + v - 1)(1 - x); aux a = v only
-    ax_sx = XSeries.monomial(PolyAux.var_a(), 1, depth, guard)
-    a_vx11 = ctx.sub(ctx.a_dp, sx=ax_sx, sa=1, sb=1)
-    inv = _inv_linear(PolyAux.var_a(), depth, guard)
-    geom_a, v_over = inv - 1, inv * PolyAux.var_a()
-    one_m_vx = 1 - XSeries.monomial(PolyAux.var_a(), 1, depth, guard)
-    ap_s1 = ctx.sub(ap_cf, sx=geom_a, sa=one_m_vx, sb=1)
-    ap_s2 = ctx.sub(ap_cf, sa=one_m_vx, sb=v_over)
+    a_vx11 = ctx.a_dp.substitute(sx=v * x, sa=1, sb=1)
+    geom_a, one_m_vx, v_over = _kernel_values(PolyAux.var_a(), depth, guard)
+    ap_s1 = ap_cf.substitute(sx=geom_a, sa=one_m_vx, sb=1)
+    ap_s2 = ap_cf.substitute(sa=one_m_vx, sb=v_over)
     kern = v * x + v - 1
     res = kern * (1 - x) * c_cf
     res = res - kern * v * x**3 * (1 + v * x)

@@ -178,6 +178,24 @@ def test_verify_scale_below_one_is_usage_error(capsys, suite, flag, scale):
     assert "[PASS]" not in out
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("method", [
+    ["--method", "brute"], ["--method", "recurrence"], ["--method", "series"], ["--check"],
+], ids=["brute", "recurrence", "series", "check"])
+def test_distribution_n_below_one_is_usage_error(capsys, n, method):
+    code, out, err = run(capsys, "distribution", "--pair", "1243,1423", "--n", n, *method)
+    assert code == 2
+    assert f"n must be at least 1, got {n}" in err
+    assert out == ""
+
+
+def test_verify_n_and_deg_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "conjecture", "--n", "7", "--deg", "5"])
+    assert excinfo.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_verify_with_no_checks_fails(capsys, monkeypatch):
     from permlab import suites
 

@@ -170,6 +170,74 @@ def test_substitute_aux_with_poly():
     assert got.coefficient(1) == b
 
 
+SUB_GUARD = 40
+small_poly_st = st.builds(
+    PolyAux,
+    st.dictionaries(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=2),
+        ),
+        st.integers(min_value=-3, max_value=3),
+        max_size=3,
+    ),
+)
+
+
+def small_series(draw, trunc, valuation=0):
+    coeffs = [PolyAux.zero()] * valuation + [
+        draw(small_poly_st) for _ in range(trunc + 1 - valuation)
+    ]
+    return XSeries(coeffs, trunc, SUB_GUARD)
+
+
+def substitute_by_definition(s, sx, sa, sb):
+    # sum over the terms c a^da b^db x^m of s of c * sx^m * A^da * B^db
+    def lift(value, keep):
+        value = keep if value is None else value
+        return value if isinstance(value, XSeries) else XSeries.constant(value, s.trunc, s.guard)
+
+    big_x = lift(sx, XSeries.x(s.trunc, s.guard))
+    big_a, big_b = lift(sa, PolyAux.var_a()), lift(sb, PolyAux.var_b())
+    total = XSeries.zero(s.trunc, s.guard)
+    for m, coeff in enumerate(s.coeffs):
+        for (da, db), c in coeff.terms.items():
+            total = total + big_x**m * big_a**da * big_b**db * c
+    return total
+
+
+@pytest.mark.parametrize("kind", ["aux-only", "x-to-cx", "series-x", "series-aux"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_its_definition(kind, data):
+    trunc = data.draw(st.integers(min_value=0, max_value=4))
+    s = small_series(data.draw, trunc)
+    sx = None
+    sa, sb = data.draw(small_poly_st), data.draw(st.one_of(small_poly_st, coeff_st))
+    if kind == "x-to-cx":
+        sx = XSeries.monomial(data.draw(small_poly_st), 1, trunc, SUB_GUARD)
+    elif kind == "series-x":
+        sx = small_series(data.draw, trunc, valuation=1)
+    elif kind == "series-aux":
+        if data.draw(st.booleans()):
+            sx = small_series(data.draw, trunc, valuation=1)
+        sa, sb = small_series(data.draw, trunc), small_series(data.draw, trunc)
+    assert s.substitute(sx, sa, sb) == substitute_by_definition(s, sx, sa, sb)
+
+
+def test_substitute_respects_a_narrow_guard():
+    a, b = PolyAux.var_a(), PolyAux.var_b()
+    x_to_a3b3x = XSeries.monomial(PolyAux.monomial(1, 3, 3), 1, 3, SUB_GUARD)
+    # x -> a^3 b^3 x puts aux degree 6 at x^1, above 2 + 2
+    with pytest.raises(AuxDegreeError):
+        XSeries.x(3, SUB_GUARD).substitute(sx=x_to_a3b3x, guard=2)
+    assert XSeries.x(3, SUB_GUARD).substitute(sx=x_to_a3b3x, guard=4).coefficient(1) == (a * b) ** 3
+    # a series value for an aux variable is held to the same envelope
+    a5 = XSeries.constant(a**5, 3, SUB_GUARD)
+    with pytest.raises(AuxDegreeError):
+        XSeries.constant(a * b, 3, SUB_GUARD).substitute(sa=a5, guard=4)
+
+
 def test_aux_degree_envelope():
     a = PolyAux.var_a()
     with pytest.raises(AuxDegreeError):
