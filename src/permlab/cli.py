@@ -20,7 +20,6 @@ from . import __version__, suites
 from .perms import (
     Pair,
     ResourceLimitError,
-    enumeration_cap,
     first_letter_distribution,
     format_permutation,
     parse_pair,
@@ -29,22 +28,6 @@ from .perms import (
 from .schroeder import triangle_rows
 
 SCHEMA = "permlab/v1"
-
-#: Default brute-force size cap; --big raises it to the library cap.
-DEFAULT_BRUTE_CAP = 9
-BIG_BRUTE_CAP = 11
-
-
-def _check_brute_cap(n: int, big: bool) -> int:
-    """The brute-force cap, after refusing an enumeration at size ``n`` above it."""
-    big_cap = min(enumeration_cap(), BIG_BRUTE_CAP)
-    cap = big_cap if big else min(big_cap, DEFAULT_BRUTE_CAP)
-    if n > cap:
-        hint = "pass --big" if cap < big_cap else "raise PERMLAB_MAX_N"
-        raise ResourceLimitError(
-            f"brute-force census at n={n} exceeds the cap of {cap}; {hint}"
-        )
-    return cap
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -94,12 +77,12 @@ def _distribution_methods(pair: Pair) -> list[str]:
     return methods
 
 
-def _distribution_by(pair: Pair, n: int, method: str, big: bool) -> list[int]:
+def _distribution_by(pair: Pair, n: int, method: str) -> list[int]:
     from . import recurrences
 
     key = tuple(sorted(pair))
     if method == "brute":
-        return first_letter_distribution(n, pair, max_n=_check_brute_cap(n, big))
+        return first_letter_distribution(n, pair)
     if n > 40:
         raise ResourceLimitError(f"method {method!r} is limited to n <= 40")
     if method == "recurrence":
@@ -127,7 +110,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
     pair = parse_pair(args.pair)
     methods = _distribution_methods(pair)
     if args.check:
-        results = {m: _distribution_by(pair, args.n, m, args.big) for m in methods}
+        results = {m: _distribution_by(pair, args.n, m) for m in methods}
         agree = len({tuple(v) for v in results.values()}) == 1
         if args.format == "json":
             payload = {
@@ -151,7 +134,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
             f"method {method!r} is not available for pair {args.pair}; "
             f"available: {', '.join(methods)}"
         )
-    counts = _distribution_by(pair, args.n, method, args.big)
+    counts = _distribution_by(pair, args.n, method)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
@@ -229,8 +212,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scale = args.deg if args.deg is not None else (args.n if args.n is not None else suite.default_scale)
     if scale < 1:
         raise ValueError(f"the scale of a suite must be at least 1, got {scale}")
-    if suite.enumerates:
-        _check_brute_cap(scale, args.big)
     t0 = time.time()
     checks = suite.run(scale)
     elapsed = time.time() - t0
@@ -314,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--method", choices=("brute", "recurrence", "series"))
     p.add_argument("--check", action="store_true", help="run all available methods and diff")
-    p.add_argument("--big", action="store_true", help="raise the brute-force cap")
     p.set_defaults(func=cmd_distribution)
 
     p = sub.add_parser("table2", help="audit the embedded size-8 reference table")
@@ -325,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scale = p.add_mutually_exclusive_group()
     scale.add_argument("--n", type=int, help="enumeration size for brute-force suites")
     scale.add_argument("--deg", type=int, help="series truncation for series/systems suites")
-    p.add_argument("--big", action="store_true", help="raise the brute-force cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection", help="trace the class bijection on one permutation")
@@ -343,10 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ResourceLimitError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ResourceLimitError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

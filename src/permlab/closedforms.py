@@ -39,13 +39,11 @@ class ClearedForm:
     """A generating function written as (P + sum Q_k sqrt(R_k)) / Dn.
 
     Components are exact polynomials stored as truncated series well above
-    their degree.  ``aux_names`` gives display names for the auxiliary
-    variables actually used ("" for an unused slot); ``start`` is the known
-    valuation of the expanded series, rechecked on every expansion.
+    their degree.  ``start`` is the known valuation of the expanded series,
+    rechecked on every expansion.
     """
 
     name: str
-    aux_names: tuple[str, str]
     poly: XSeries
     radicals: tuple[tuple[XSeries, XSeries], ...]
     denom: XSeries
@@ -173,10 +171,9 @@ def _as_component(series: XSeries, what: str) -> XSeries:
     return series
 
 
-def _form(name, aux_names, poly, radicals, denom, start) -> ClearedForm:
+def _form(name, poly, radicals, denom, start) -> ClearedForm:
     return ClearedForm(
         name=name,
-        aux_names=aux_names,
         poly=_as_component(poly, f"{name} P"),
         radicals=tuple(
             (_as_component(q, f"{name} Q"), _as_component(r, f"{name} R"))
@@ -192,8 +189,7 @@ def _build_schroeder(name: str, head: int, start: int) -> ClearedForm:
     # or its tail from x^2 (head 3)
     x, _, _ = _xyz()
     return _form(
-        name, ("", ""),
-        1 - head * x, (((-1) * XSeries.one(_BUILD_TRUNC, _BUILD_GUARD), 1 - 6 * x + x * x),),
+        name, 1 - head * x, (((-1) * XSeries.one(_BUILD_TRUNC, _BUILD_GUARD), 1 - 6 * x + x * x),),
         XSeries.constant(2, _BUILD_TRUNC, _BUILD_GUARD), start,
     )
 
@@ -209,7 +205,7 @@ def _triangle_parts() -> tuple[XSeries, XSeries, XSeries, XSeries]:
 
 def _build_triangle() -> ClearedForm:
     p, q, r, dn = _triangle_parts()
-    return _form("triangle_gf", ("y", ""), p, ((q, r),), dn, 1)
+    return _form("triangle_gf", p, ((q, r),), dn, 1)
 
 
 def _build_sites() -> ClearedForm:
@@ -221,7 +217,7 @@ def _build_sites() -> ClearedForm:
     poly = head_num * dn_tri + x * y * q * (1 - 2 * x * q) * (1 - x * y * q) * p_tri
     rad = (x * y * q * (1 - 2 * x * q) * (1 - x * y * q) * q_tri, r_tri)
     denom = head_den * dn_tri
-    return _form("sites_gf", ("y", "q"), poly, (rad,), denom, 1)
+    return _form("sites_gf", poly, (rad,), denom, 1)
 
 
 def _build_first_letter(name: str) -> ClearedForm:
@@ -229,7 +225,7 @@ def _build_first_letter(name: str) -> ClearedForm:
     # with y = v; each is checked against its own recurrence and brute-force
     # counts in the tests
     p, q, r, dn = _triangle_parts()
-    return _form(name, ("v", ""), p, ((q, r),), dn, 1)
+    return _form(name, p, ((q, r),), dn, 1)
 
 
 def _build_aplus_1243_1423() -> ClearedForm:
@@ -252,7 +248,7 @@ def _build_aplus_1243_1423() -> ClearedForm:
         * (v * w) ** 3 * x**2
     )
     return _form(
-        "aplus_1243_1423", ("v", "w"), p,
+        "aplus_1243_1423", p,
         ((q_r1, r1), (q_r2, r2), (q_r12, r12)), dn, 2,
     )
 
@@ -273,7 +269,7 @@ def _build_aminus_1243_1423() -> ClearedForm:
         v * v * x**3 - v * v * x * x + v * x**3 + 3 * v * x * x - 3 * v * x
         - x * x - 3 * x + 3 - (1 - x) * (1 - v * x) * v * w * x
     ) * (v * w) ** 3 * x**2
-    return _form("aminus_1243_1423", ("v", "w"), p, ((q_r1, r1),), dn, 2)
+    return _form("aminus_1243_1423", p, ((q_r1, r1),), dn, 2)
 
 
 def _build_aplus_w1_1243_1423() -> ClearedForm:
@@ -282,7 +278,7 @@ def _build_aplus_w1_1243_1423() -> ClearedForm:
     dn = 2 * (v * x - v - 2 * x + 1)
     q = v * x * x * (1 + v - v * x)
     p = (-1) * v * x * x * ((v * x) ** 2 - v * v * x - 4 * v * x + 3 * v - 1)
-    return _form("aplus_w1_1243_1423", ("v", ""), p, ((q, r),), dn, 2)
+    return _form("aplus_w1_1243_1423", p, ((q, r),), dn, 2)
 
 
 def _build_aminus_w1_1243_1423() -> ClearedForm:
@@ -291,7 +287,7 @@ def _build_aminus_w1_1243_1423() -> ClearedForm:
     dn = 2 * (v * x - v - 2 * x + 1)
     q = v * v * x * (x - 1) ** 2
     p = v * v * x * (x - 1) * (v * x * x - v * x - 3 * x + 1)
-    return _form("aminus_w1_1243_1423", ("v", ""), p, ((q, r),), dn, 2)
+    return _form("aminus_w1_1243_1423", p, ((q, r),), dn, 2)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +303,7 @@ def _joint_parts_1243_1342() -> dict[str, ClearedForm]:
         1 - v + (6 * v * v - 4 * v - x * (4 * v * v - 2 * v + 1)) * w
         + x * v * (x * (v * v + 4 * v - 4) - 2 * v * v - 6 * v + 6) * w * w
     ) * v * w * w * x**2 - (x - 2) * (v - 1) * v**3 * w**5 * x**4
-    aplus = _form("aplus_1243_1342", ("v", "w"), p_p, ((q_p, r1),), dn_p, 2)
+    aplus = _form("aplus_1243_1342", p_p, ((q_p, r1),), dn_p, 2)
 
     dn_m = 2 * (1 - v * w - x * (2 - v * w)) * (1 - w - v * x * (2 - w))
     q_m = (
@@ -322,21 +318,21 @@ def _joint_parts_1243_1342() -> dict[str, ClearedForm]:
         w * w * x + w * x * x - w * w + 3 * w * x - 2 * x * x - 3 * w - 2 * x + 3
         - (x - 1) * (w - 1) * v * w * x
     ) * v**4 * w * w * x**3
-    aminus = _form("aminus_1243_1342", ("v", "w"), p_m, ((q_m, r1),), dn_m, 2)
+    aminus = _form("aminus_1243_1342", p_m, ((q_m, r1),), dn_m, 2)
 
     dn_b = 2 * (1 - 2 * v * w - x * (1 - v * w)) * (1 - v - w * x * (2 - v))
     q_b = (v * w * x - 2 * w * x * x + 2 * w * x + x - 1) * w * w * x**2
     p_b = (
         1 - x + (3 * v * x - 4 * v + 2 * x - 2) * w * x - (2 * x + v - 6) * v * w * w * x * x
     ) * w * w * x**2
-    bform = _form("b_1243_1342", ("v", "w"), p_b, ((q_b, r1),), dn_b, 5)
+    bform = _form("b_1243_1342", p_b, ((q_b, r1),), dn_b, 5)
 
     x2, v2, _ = _xyz()
     r_c = (v2 * x2) ** 2 - 6 * v2 * x2 + 1
     dn_c = 2 * (1 - x2 - 2 * v2 + v2 * x2)
     q_c = (-1) * v2 * x2 * x2 * (x2 - 2)
     p_c = (-1) * v2 * x2 * x2 * (v2 * x2 * x2 - 2 * v2 * x2 - 3 * x2 + 2)
-    cform = _form("c_1243_1342", ("v", ""), p_c, ((q_c, r_c),), dn_c, 3)
+    cform = _form("c_1243_1342", p_c, ((q_c, r_c),), dn_c, 3)
     return {"aplus": aplus, "aminus": aminus, "b": bform, "c": cform}
 
 
@@ -349,7 +345,7 @@ def _build_b_1243_1324() -> ClearedForm:
         v * w * w * x**3 - 2 * v * w * w * x * x - v * w * x * x + 3 * v * w * x
         - 3 * w * x * x + 2 * w * x + x - 1
     )
-    return _form("b_1243_1324", ("v", "w"), p, ((q, r1),), dn, 4)
+    return _form("b_1243_1324", p, ((q, r1),), dn, 4)
 
 
 #: Every closed form the package knows, by registry name: a builder each.

@@ -43,8 +43,8 @@ def enumeration_cap() -> int:
     """Current cap on exhaustive enumeration size.
 
     The environment variable ``PERMLAB_MAX_N`` overrides the default of
-    11.  Nothing here stops a determined caller; the cap just turns an
-    accidental ``n=30`` into an immediate error instead of a hung process.
+    11; it is the one setting of the cap.  The cap turns an accidental
+    ``n=30`` into an immediate error instead of a hung process.
     """
     raw = os.environ.get("PERMLAB_MAX_N", "").strip()
     if raw:
@@ -55,14 +55,19 @@ def enumeration_cap() -> int:
     return DEFAULT_MAX_N
 
 
-def _check_cap(n: int, max_n: int | None) -> None:
-    cap = enumeration_cap() if max_n is None else max_n
+def check_cap(n: int) -> None:
+    """Refuse an exhaustive enumeration at size ``n`` above :func:`enumeration_cap`.
+
+    Every census below calls this, and so does each verification suite
+    that enumerates, with its largest size, before its first census.
+    """
+    cap = enumeration_cap()
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > cap:
         raise ResourceLimitError(
             f"exhaustive enumeration at n={n} exceeds the cap of {cap}; "
-            "raise PERMLAB_MAX_N or pass max_n explicitly if you mean it"
+            "raise PERMLAB_MAX_N if you mean it"
         )
 
 
@@ -296,9 +301,9 @@ def _check_pair(pair: Pair) -> Pair:
     return check_permutation(pa), check_permutation(pb)
 
 
-def first_second_distribution(n: int, pair: Pair, max_n: int | None = None) -> DistributionTable:
+def first_second_distribution(n: int, pair: Pair) -> DistributionTable:
     """Exhaustive census of avoiders of `pair` by first and second letter."""
-    _check_cap(n, max_n)
+    check_cap(n)
     if n == 0:
         return DistributionTable(0, (tuple([0]),))
     pa, pb = _check_pair(pair)
@@ -306,9 +311,9 @@ def first_second_distribution(n: int, pair: Pair, max_n: int | None = None) -> D
     return DistributionTable.from_cells(n, lambda i, j: cells[i, j])
 
 
-def first_letter_distribution(n: int, pair: Pair, max_n: int | None = None) -> list[int]:
+def first_letter_distribution(n: int, pair: Pair) -> list[int]:
     """Exhaustive count of avoiders of `pair` with each first letter 1..n."""
-    _check_cap(n, max_n)
+    check_cap(n)
     if n == 0:
         return []
     pa, pb = _check_pair(pair)
@@ -316,20 +321,20 @@ def first_letter_distribution(n: int, pair: Pair, max_n: int | None = None) -> l
     return [int(c) for c in first]
 
 
-def count_avoiders(n: int, pair: Pair, max_n: int | None = None) -> int:
+def count_avoiders(n: int, pair: Pair) -> int:
     """Number of permutations of 1..n avoiding both patterns of `pair`."""
     if n == 0:
         return 1
-    return sum(first_letter_distribution(n, pair, max_n=max_n))
+    return sum(first_letter_distribution(n, pair))
 
 
-def enumerate_avoiders(n: int, pair: Pair, max_n: int | None = None) -> list[Perm]:
+def enumerate_avoiders(n: int, pair: Pair) -> list[Perm]:
     """All avoiders of `pair` in S_n, in lexicographic order.
 
     >>> enumerate_avoiders(3, parse_pair("1234,1243"))[:3]
     [(1, 2, 3), (1, 3, 2), (2, 1, 3)]
     """
-    _check_cap(n, max_n)
+    check_cap(n)
     if n == 0:
         return [()]
     pa, pb = _check_pair(pair)
@@ -338,14 +343,14 @@ def enumerate_avoiders(n: int, pair: Pair, max_n: int | None = None) -> list[Per
     return out
 
 
-def active_site_census(n: int, pair: Pair, max_n: int | None = None) -> np.ndarray:
+def active_site_census(n: int, pair: Pair) -> np.ndarray:
     """Counts of avoiders by (first letter, number of active sites).
 
     Entry ``[i, j]`` counts avoiders of `pair` in S_n with first letter i
     whose lift-and-insert children include exactly j avoiders; shape is
     (n + 1, n + 2) with row 0 unused.
     """
-    _check_cap(n, max_n)
+    check_cap(n)
     if n == 0:
         raise ValueError("active site census needs n >= 1")
     pa, pb = _check_pair(pair)

@@ -292,9 +292,11 @@ def _joint_1243_1342(n: int) -> _JointHistory:
     return hist
 
 
-def _joint_1243_1324(n: int, rule: str = "cumulative") -> _JointHistory:
-    if rule not in ("cumulative", "direct"):
-        raise ValueError("rule must be 'cumulative' or 'direct'")
+def _joint_1243_1324(n: int, direct: bool = False) -> _JointHistory:
+    # two equivalent updates of the cells (i, j >= i + 2): the cumulative one
+    # reads the previous row's column sums; the direct one, kept as a
+    # reference for the tests, re-sums binomially over the stored history
+    # (they agree by a Vandermonde-style identity)
     hist = _JointHistory(n)
     for m in range(4, n + 1):
         table = _fill_shared_lower(hist, m)
@@ -309,38 +311,32 @@ def _joint_1243_1324(n: int, rule: str = "cumulative") -> _JointHistory:
             table[(i, i + 1)] = val
         for i in range(1, m - 2):
             for j in range(i + 2, m):
-                if rule == "cumulative":
-                    val = hist.cell(m - 1, i, j)
-                    for ell in range(1, i):
-                        val += hist.cell(m - 1, ell, j - 1)
-                else:
-                    val = hist.cell(m - 1, i, j)
+                val = hist.cell(m - 1, i, j)
+                if direct:
                     for a in range(1, i):
                         for c in range(0, i - a):
                             w = comb(i - a - 1, c)
                             if w:
                                 val += w * hist.cell(m - c - 2, a, j - c - 1)
+                else:
+                    for ell in range(1, i):
+                        val += hist.cell(m - 1, ell, j - 1)
                 table[(i, j)] = val
         hist.cells[m] = {k: v for k, v in table.items() if v}
     return hist
 
 
 @lru_cache(maxsize=8)
-def _joint_history(pair: Pair, n: int, rule: str) -> _JointHistory:
+def _joint_history(pair: Pair, n: int) -> _JointHistory:
     if pair == JOINT_PAIRS[0]:
         return _joint_1243_1423(n)
     if pair == JOINT_PAIRS[1]:
         return _joint_1243_1342(n)
-    return _joint_1243_1324(n, rule)
+    return _joint_1243_1324(n)
 
 
-def joint_table(n: int, pair: Pair | str | None = None, rule: str = "cumulative") -> DistributionTable:
+def joint_table(n: int, pair: Pair | str | None = None) -> DistributionTable:
     """The (first letter, second letter) table a_n(i, j) from its recurrence.
-
-    ``rule`` selects between the two equivalent update rules for the pair
-    (1243, 1324): ``cumulative`` uses the previous row's column sums and
-    ``direct`` re-sums binomially over the stored history; they agree by a
-    Vandermonde-style identity and the tests cross-check them.
 
     >>> joint_table(4, "1243,1423").value(3, 4)
     2
@@ -348,13 +344,13 @@ def joint_table(n: int, pair: Pair | str | None = None, rule: str = "cumulative"
     pair = _normalize_pair(pair, JOINT_PAIRS, "the joint-table recurrence")
     if n < 2:
         raise ValueError("joint tables start at n = 2")
-    return _joint_history(pair, n, rule).as_table(n)
+    return _joint_history(pair, n).as_table(n)
 
 
-def joint_tables(n_max: int, pair: Pair | str | None = None, rule: str = "cumulative") -> list[DistributionTable]:
+def joint_tables(n_max: int, pair: Pair | str | None = None) -> list[DistributionTable]:
     """Joint tables for n = 2..n_max (one history pass, cheapest way)."""
     pair = _normalize_pair(pair, JOINT_PAIRS, "the joint-table recurrence")
     if n_max < 2:
         raise ValueError("joint tables start at n = 2")
-    hist = _joint_history(pair, n_max, rule)
+    hist = _joint_history(pair, n_max)
     return [hist.as_table(m) for m in range(2, n_max + 1)]

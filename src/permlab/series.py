@@ -21,7 +21,8 @@ raise degrees.
 Substitution has one path: :meth:`XSeries.substitute` is a single Horner
 pass over the main variable that calls :meth:`PolyAux.compose` for each
 coefficient, and every intermediate series of that pass is checked
-against the envelope.
+against the envelope shifted by the powers of the main variable it still
+has to take.
 """
 
 from __future__ import annotations
@@ -368,14 +369,6 @@ class XSeries:
             coeffs[xdeg] = PolyAux.coerce(c)
         return cls(coeffs, trunc, guard)
 
-    @classmethod
-    def from_xpoly(cls, xterms: dict[int, PolyAux], trunc: int, guard: int = DEFAULT_GUARD) -> "XSeries":
-        coeffs = [PolyAux.zero() for _ in range(trunc + 1)]
-        for d, p in xterms.items():
-            if 0 <= d <= trunc:
-                coeffs[d] = coeffs[d] + p
-        return cls(coeffs, trunc, guard)
-
     # -- structure ---------------------------------------------------------
 
     def coefficient(self, m: int) -> PolyAux:
@@ -548,7 +541,7 @@ class XSeries:
     def sqrt(self) -> "XSeries":
         """Square root with constant term 1 (the unique such branch).
 
-        >>> r = XSeries.from_xpoly({0: PolyAux.one(), 1: PolyAux.const(-6), 2: PolyAux.one()}, 3)
+        >>> r = XSeries([PolyAux.one(), PolyAux.const(-6), PolyAux.one(), PolyAux.zero()], 3)
         >>> (r.sqrt() * r.sqrt()) == r
         True
         """
@@ -583,8 +576,11 @@ class XSeries:
 
         The composite is one Horner pass from the top coefficient down,
         ``result = result * sx + c.compose(sa, sb)``, so series products
-        are made only for series-valued aux variables, and every
-        intermediate is checked against the envelope of the result's guard.
+        are made only for series-valued aux variables.  The partial sum
+        made at coefficient k still has k multiplications by ``sx`` ahead,
+        so it, and every series that ``compose`` makes for that
+        coefficient, are checked against the envelope shifted by x^k,
+        2 (m + k) + guard; the result (k = 0) meets the plain envelope.
         """
         out_guard = self.guard if guard is None else guard
         trunc = min([self.trunc] + [s.trunc for s in (sx, sa, sb) if isinstance(s, XSeries)])
@@ -592,17 +588,18 @@ class XSeries:
         if not sx.coeffs[0].is_zero():
             raise ValueError("substitution for the main variable needs zero constant term")
 
-        def lift(value, keep: PolyAux):
-            if value is None:
-                return keep
-            if isinstance(value, XSeries):
-                return value.truncate(trunc).with_guard(out_guard)
-            return value
-
-        sa, sb = lift(sa, PolyAux.var_a()), lift(sb, PolyAux.var_b())
+        aux = [PolyAux.var_a() if sa is None else sa, PolyAux.var_b() if sb is None else sb]
+        # fresh copies, so that the loop may set their guard
+        aux = [v.truncate(trunc) if isinstance(v, XSeries) else v for v in aux]
         result = XSeries.zero(trunc, out_guard)
-        for c in reversed(self.coeffs[: trunc + 1]):
-            result = result * sx + c.compose(sa, sb)
+        for k in range(trunc, -1, -1):
+            # what is made at coefficient k is still multiplied k times by
+            # sx; series products and sums take their operands' guard, so
+            # this checks each of them against the envelope shifted by x^k
+            for s in (result, *aux):
+                if isinstance(s, XSeries):
+                    s.guard = out_guard + 2 * k
+            result = result * sx + self.coeffs[k].compose(*aux)
         return result
 
     # -- display -----------------------------------------------------------

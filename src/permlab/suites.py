@@ -4,7 +4,10 @@ Each suite maps a scale (an enumeration size or a series order) to a list of
 :class:`CheckResult`.  ``permlab verify`` and the acceptance gate run the same
 functions.  Only the standard library is imported at the top level, because
 ``closedforms`` and ``systems`` import :class:`CheckResult` from here; each
-suite imports the layers it checks inside its body.
+suite imports the layers it checks inside its body.  The four suites that
+enumerate permutations (``conjecture``, ``recurrences``, ``bijection`` and
+``series``) pass their scale to :func:`permlab.perms.check_cap` before their
+first census, so a scale above the enumeration cap is refused up front.
 """
 
 from __future__ import annotations
@@ -46,16 +49,17 @@ def _first_mismatch(name: str, ns, same: Callable[[int], bool]) -> CheckResult:
 def check_conjecture(n_max: int) -> list[CheckResult]:
     """Criterion 3: the nine pairs' first-letter censuses are the triangle rows."""
     from .catalog import TRIANGLE_PAIRS
-    from .perms import first_letter_distribution
+    from .perms import check_cap, first_letter_distribution
     from .schroeder import triangle_rows
 
+    check_cap(n_max)
     rows = triangle_rows(n_max)
     checks = []
     for pair in TRIANGLE_PAIRS:
         ok = True
         detail = f"n <= {n_max}"
         for n in range(1, n_max + 1):
-            got = first_letter_distribution(n, pair, max_n=n_max)
+            got = first_letter_distribution(n, pair)
             if got != rows[n - 1]:
                 ok = False
                 detail = f"first mismatch at n={n}: {got}"
@@ -69,19 +73,20 @@ def check_conjecture(n_max: int) -> list[CheckResult]:
 def check_recurrences(n_max: int) -> list[CheckResult]:
     """Criterion 4: the recurrence families equal the enumeration censuses."""
     from . import recurrences
-    from .perms import active_site_census, first_letter_distribution, first_second_distribution
+    from .perms import active_site_census, check_cap, first_letter_distribution, first_second_distribution
     from .schroeder import triangle_rows
 
     def sites_agree(n: int, pair) -> bool:
-        return recurrences.site_table(n, pair) == active_site_census(n, pair, max_n=n_max).tolist()
+        return recurrences.site_table(n, pair) == active_site_census(n, pair).tolist()
 
+    check_cap(n_max)
     checks = []
     for pair in recurrences.FIRST_LETTER_PAIRS:
         rows = recurrences.first_letter_rows(n_max, pair)
         checks.append(_first_mismatch(
             f"first-letter recurrence matches brute force for {_label(pair)}",
             range(1, n_max + 1),
-            lambda n: rows[n - 1] == first_letter_distribution(n, pair, max_n=n_max),
+            lambda n: rows[n - 1] == first_letter_distribution(n, pair),
         ))
     for pair in recurrences.SITE_PAIRS:
         checks.append(_first_mismatch(
@@ -93,7 +98,7 @@ def check_recurrences(n_max: int) -> list[CheckResult]:
             f"joint-table recurrence matches brute force for {_label(pair)}",
             range(2, n_max + 1),
             lambda n: recurrences.joint_table(n, pair).cells
-            == first_second_distribution(n, pair, max_n=n_max).cells,
+            == first_second_distribution(n, pair).cells,
         ))
     rows = triangle_rows(n_max)
     checks.append(_first_mismatch(
@@ -106,12 +111,13 @@ def check_recurrences(n_max: int) -> list[CheckResult]:
 def check_bijection(n_max: int) -> list[CheckResult]:
     """Criterion 6: the bijection is onto, minima-preserving and two-sided."""
     from . import bijection
-    from .perms import enumerate_avoiders, left_right_minima
+    from .perms import check_cap, enumerate_avoiders, left_right_minima
 
+    check_cap(n_max)
     checks = []
     for n in range(1, n_max + 1):
-        source = enumerate_avoiders(n, bijection.SOURCE_PAIR, max_n=n_max)
-        target = set(enumerate_avoiders(n, bijection.TARGET_PAIR, max_n=n_max))
+        source = enumerate_avoiders(n, bijection.SOURCE_PAIR)
+        target = set(enumerate_avoiders(n, bijection.TARGET_PAIR))
         images = set()
         ok = True
         detail = ""
@@ -177,10 +183,11 @@ def check_series(depth: int) -> list[CheckResult]:
     """Criterion 7: closed forms against the tables (order 12), brute-force
     counts through x^depth and their stated low-order terms."""
     from .closedforms import expand, verify_cleared
-    from .perms import first_letter_distribution, parse_pair
+    from .perms import check_cap, first_letter_distribution, parse_pair
     from .schroeder import schroeder_numbers, triangle_rows
     from .series import PolyAux, XSeries
 
+    check_cap(depth)
     checks = []
     tri = expand("triangle_gf", 12)
     rows = triangle_rows(12)
@@ -196,7 +203,7 @@ def check_series(depth: int) -> list[CheckResult]:
         pair = parse_pair(tag.replace("_", ","))
         coeffs = [PolyAux.zero()]
         for n in range(1, depth + 1):
-            counts = first_letter_distribution(n, pair, max_n=depth)
+            counts = first_letter_distribution(n, pair)
             coeffs.append(PolyAux({(i + 1, 0): c for i, c in enumerate(counts) if c}))
         brute_gf = XSeries(coeffs, depth, guard=2 * depth + 4)
         checks.append(
@@ -243,14 +250,13 @@ def check_inversion(n_max: int) -> list[CheckResult]:
 class Suite(NamedTuple):
     run: Callable[[int], list[CheckResult]]
     default_scale: int
-    enumerates: bool  # the scale is a permutation size, held to the brute-force cap
 
 
 SUITES = {
-    "conjecture": Suite(check_conjecture, 9, True),
-    "recurrences": Suite(check_recurrences, 9, True),
-    "bijection": Suite(check_bijection, 8, True),
-    "series": Suite(check_series, 9, True),
-    "systems": Suite(check_systems, 8, False),
-    "inversion": Suite(check_inversion, 9, False),
+    "conjecture": Suite(check_conjecture, 9),
+    "recurrences": Suite(check_recurrences, 9),
+    "bijection": Suite(check_bijection, 8),
+    "series": Suite(check_series, 9),
+    "systems": Suite(check_systems, 8),
+    "inversion": Suite(check_inversion, 9),
 }

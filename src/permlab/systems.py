@@ -391,10 +391,9 @@ def _verify_1243_1324(depth: int, guard: int) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 
-def verify_system(name: str, depth: int = 8, guard: int | None = None) -> list[CheckResult]:
-    """Run one verification system; see the module docstring for names."""
-    if guard is None:
-        guard = 2 * depth + 12
+def verify_system(name: str, depth: int = 8) -> list[CheckResult]:
+    """Run one verification system through x^depth; see the module docstring
+    for names.  Every series carries the guard 2 * depth + 12."""
     runners = {
         "sites": _verify_sites,
         "1243_1423": _verify_1243_1423,
@@ -403,8 +402,8 @@ def verify_system(name: str, depth: int = 8, guard: int | None = None) -> list[C
     }
     if name not in runners:
         raise ValueError(f"unknown system {name!r}; known: {', '.join(SYSTEMS)}")
-    return runners[name](depth, guard)
+    return runners[name](depth, 2 * depth + 12)
 
 
-def verify_all(depth: int = 8, guard: int | None = None) -> dict[str, list[CheckResult]]:
-    return {name: verify_system(name, depth, guard) for name in SYSTEMS}
+def verify_all(depth: int = 8) -> dict[str, list[CheckResult]]:
+    return {name: verify_system(name, depth) for name in SYSTEMS}

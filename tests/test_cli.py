@@ -91,12 +91,12 @@ def test_distribution_unsupported_method(capsys):
 
 
 def test_distribution_brute_cap_and_big(capsys):
-    code, _, err = run(capsys, "distribution", "--pair", "2314,3124", "--n", "10")
+    # one enumeration cap, n <= 11, and no --big to raise it
+    code, out, err = run(capsys, "distribution", "--pair", "1243,1423", "--n", "12")
     assert code == 2
-    assert "--big" in err
-    code, out, _ = run(
-        capsys, "distribution", "--pair", "1243,1423", "--n", "10", "--big"
-    )
+    assert "PERMLAB_MAX_N" in err
+    assert out == ""
+    code, out, _ = run(capsys, "distribution", "--pair", "1243,1423", "--n", "10")
     assert code == 0
     first = out.strip().splitlines()[0]
     # the stabilised tail of row 10 is the full count at size 9
@@ -109,8 +109,8 @@ def test_distribution_methods_disagree_is_exit_one(capsys, monkeypatch):
 
     real = cli._distribution_by
 
-    def skew(pair, n, method, big):
-        counts = real(pair, n, method, big)
+    def skew(pair, n, method):
+        counts = real(pair, n, method)
         if method == "series":
             counts = counts[:-1] + [counts[-1] + 1]
         return counts
@@ -155,14 +155,35 @@ def test_verify_inversion_is_not_clipped(capsys):
 
 
 def test_verify_enumerating_suites_refuse_above_the_cap(capsys, monkeypatch):
-    code, out, err = run(capsys, "verify", "series", "--deg", "10")
-    assert code == 2
-    assert "--big" in err
-    assert out == ""
+    for suite, flag in (("conjecture", "--n"), ("series", "--deg")):
+        code, out, err = run(capsys, "verify", suite, flag, "12")
+        assert code == 2
+        assert "PERMLAB_MAX_N" in err
+        assert out == ""
     monkeypatch.setenv("PERMLAB_MAX_N", "8")
-    code, _, err = run(capsys, "verify", "conjecture", "--n", "9", "--big")
+    code, out, err = run(capsys, "verify", "conjecture", "--n", "9")
     assert code == 2
     assert "PERMLAB_MAX_N" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["conjecture", "recurrences", "bijection", "series"])
+def test_enumerating_suites_refuse_above_the_cap_before_any_walk(monkeypatch, suite):
+    # called from Python, as the acceptance gate calls them, the suites meet
+    # the same cap as every census, before the first walk
+    from permlab import kernels, suites
+    from permlab.perms import ResourceLimitError, enumeration_cap
+
+    def no_walk(*args):
+        raise AssertionError("an enumeration ran above the cap")
+
+    monkeypatch.setattr(kernels, "_walk", no_walk)
+    run_suite = suites.SUITES[suite].run
+    with pytest.raises(ResourceLimitError, match="PERMLAB_MAX_N"):
+        run_suite(enumeration_cap() + 1)
+    monkeypatch.setenv("PERMLAB_MAX_N", "8")
+    with pytest.raises(ResourceLimitError, match="PERMLAB_MAX_N"):
+        run_suite(9)
 
 
 @pytest.mark.parametrize("suite, flag, scale", [
@@ -241,8 +262,12 @@ def test_each_suite_can_fail(capsys, monkeypatch, suite, flag, route, skew):
     assert "[FAIL]" in out
 
 
-@pytest.mark.parametrize("argv", [["triangle"], ["table2"], ["bijection", "132"]])
+@pytest.mark.parametrize("argv", [
+    ["triangle"], ["table2"], ["bijection", "132"],
+    ["distribution", "--pair", "1243,1423"], ["verify", "conjecture"],
+])
 def test_big_only_where_it_applies(argv):
+    # --big is gone: the enumeration cap has one setting, PERMLAB_MAX_N
     with pytest.raises(SystemExit) as excinfo:
         main(argv + ["--big"])
     assert excinfo.value.code == 2

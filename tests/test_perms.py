@@ -151,12 +151,14 @@ def test_active_site_census_counts_gaps():
         assert census.sum() == count_avoiders(n, pair)
 
 
-def test_resource_cap():
+def test_resource_cap(monkeypatch):
     pair = parse_pair("1243,1423")
     with pytest.raises(ResourceLimitError):
-        first_letter_distribution(9, pair, max_n=8)
-    with pytest.raises(ResourceLimitError):
         enumerate_avoiders(30, pair)
+    monkeypatch.setenv("PERMLAB_MAX_N", "8")
+    with pytest.raises(ResourceLimitError, match="PERMLAB_MAX_N"):
+        first_letter_distribution(9, pair)
+    assert sum(first_letter_distribution(8, pair)) == 8558
 
 
 @settings(max_examples=20)

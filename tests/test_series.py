@@ -238,6 +238,17 @@ def test_substitute_respects_a_narrow_guard():
         XSeries.constant(a * b, 3, SUB_GUARD).substitute(sa=a5, guard=4)
 
 
+def test_substitute_checks_partial_sums_against_the_shifted_envelope():
+    # a^6 x^2 fits 2*2 + 4, although the Horner pass first holds a^6 at x^0
+    a, z = PolyAux.var_a(), PolyAux.zero()
+    high = XSeries([z, z, a**6], 2, guard=8)
+    assert high.substitute(sb=1, guard=4) == XSeries([z, z, a**6], 2)
+    assert high.substitute(sa=XSeries.constant(a, 2, 4), sb=1, guard=4) == XSeries([z, z, a**6], 2)
+    # the same a^6 at x^0 really exceeds the envelope 4
+    with pytest.raises(AuxDegreeError):
+        XSeries([a**6, z, z], 2, guard=8).substitute(sb=1, guard=4)
+
+
 def test_aux_degree_envelope():
     a = PolyAux.var_a()
     with pytest.raises(AuxDegreeError):
