@@ -1,4 +1,5 @@
-"""Time the enumeration kernels, optionally against an earlier revision.
+"""Time the enumeration kernels and the series layer, optionally against an
+earlier revision.
 
 Usage:
     python3 bench/bench_kernels.py [--baseline REV] [--repeat R] [--out FILE]
@@ -11,7 +12,9 @@ results must be equal.  The cases are the four kernels on the triangle pair
 ``inv021_census`` at n = 9, called with int64 pattern arrays as both
 revisions accept, and the materialising walk at n = 8 through
 ``perms.enumerate_avoiders`` (whose kernel, ``fill_avoiders``, changed its
-signature).  Each figure is the best of R runs.
+signature).  The series cases are ``systems.verify_all`` at depths 14 and
+20 and ``closedforms.expand`` of every closed form to order 20; for them
+``n`` is the depth or order.  Each figure is the best of R runs.
 
 With ``--out`` the timings are written as JSON together with the backend
 that ran, the Python and numpy versions, the CPU count and the git revision.
@@ -40,6 +43,10 @@ CASES = (
     ("fill_avoiders (perms.enumerate_avoiders)", 8, "perms.enumerate_avoiders(8, pair)"),
     ("active_census", 8, "kernels.active_census(8, pa, pb)"),
     ("inv021_census", 9, "kernels.inv021_census(9)"),
+    ("systems.verify_all", 14, "systems.verify_all(14)"),
+    ("systems.verify_all", 20, "systems.verify_all(20)"),
+    ("closedforms.expand (all forms)", 20,
+     "[closedforms.expand(name, 20) for name in closedforms.closed_form_names()]"),
 )
 
 #: Runs in the child: argv = [src, statement, repeat]; prints one JSON line.
@@ -47,7 +54,7 @@ CHILD = """
 import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from permlab import kernels, perms
+from permlab import closedforms, kernels, perms, systems
 pair = perms.parse_pair(%r)
 pa, pb = (np.asarray(p, np.int64) for p in pair)
 times = []
@@ -100,7 +107,7 @@ def main() -> int:
         if args.baseline:
             trees["baseline"] = _export_src(args.baseline, tmp)
         for label, n, statement in CASES:
-            row = {"kernel": label, "n": n, "statement": statement}
+            row = {"case": label, "n": n, "statement": statement}
             digests = set()
             for side, src in trees.items():
                 got = _run(src, statement, args.repeat)

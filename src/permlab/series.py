@@ -19,10 +19,15 @@ guard is per-series and can be widened where substitutions legitimately
 raise degrees.
 
 Substitution has one path: :meth:`XSeries.substitute` is a single Horner
-pass over the main variable that calls :meth:`PolyAux.compose` for each
-coefficient, and every intermediate series of that pass is checked
-against the envelope shifted by the powers of the main variable it still
-has to take.
+pass over the main variable, from the top coefficient down.  The powers of
+each aux value are made once per substitution and shared by every
+coefficient.  The series substituted for the main variable has no
+constant term, so what the pass makes at coefficient k reaches the result
+only through order trunc - k, and step k works at that order.  Every
+series made at step k (the partial sum, the slices of the shared powers it
+uses, and the sums and products that compose them) is checked against the
+envelope shifted by x^k, 2 (m + k) + guard; the result is checked against
+the plain envelope.
 """
 
 from __future__ import annotations
@@ -46,9 +51,16 @@ class InexactDivisionError(ArithmeticError):
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # exact type tests: isinstance against Fraction goes through the ABC machinery
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _extend_powers(table: list, value, top: int) -> None:
+    """Append powers of ``value`` to ``table`` (table[e] == value**e) through e == top."""
+    while len(table) <= top:
+        table.append(value if len(table) == 1 else table[-1] * value)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +140,10 @@ class PolyAux:
         return iter(sorted(self.terms.items()))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not PolyAux:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = PolyAux.const(other)
-        if not isinstance(other, PolyAux):
-            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -143,16 +155,18 @@ class PolyAux:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PolyAux | Coeff") -> "PolyAux":
-        other = PolyAux.coerce(other)
+        if type(other) is not PolyAux:
+            other = PolyAux.coerce(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
+            # c is nonzero, so a zero sum means the key was already present
             nv = out.get(key, 0) + c
             if nv:
-                out[key] = nv
+                out[key] = nv if type(nv) is int else _norm_coeff(nv)
             else:
-                out.pop(key, None)
+                del out[key]
         res = PolyAux.__new__(PolyAux)
-        res.terms = {k: _norm_coeff(v) for k, v in out.items() if v}
+        res.terms = out
         return res
 
     __radd__ = __add__
@@ -169,25 +183,25 @@ class PolyAux:
         return PolyAux.coerce(other) + (-self)
 
     def __mul__(self, other: "PolyAux | Coeff") -> "PolyAux":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return PolyAux.zero()
+        if type(other) is not PolyAux:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # a product of nonzero exact numbers is nonzero
             res = PolyAux.__new__(PolyAux)
-            res.terms = {k: _norm_coeff(c * other) for k, c in self.terms.items()}
+            terms = res.terms = {}
+            if other:
+                for key, c in self.terms.items():
+                    v = c * other
+                    terms[key] = v if type(v) is int else _norm_coeff(v)
             return res
-        if not isinstance(other, PolyAux):
-            return NotImplemented
         out: dict[Key, Coeff] = {}
+        get = out.get
         for (da1, db1), c1 in self.terms.items():
             for (da2, db2), c2 in other.terms.items():
                 key = (da1 + da2, db1 + db2)
-                nv = out.get(key, 0) + c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+                out[key] = get(key, 0) + c1 * c2
         res = PolyAux.__new__(PolyAux)
-        res.terms = {k: _norm_coeff(v) for k, v in out.items() if v}
+        res.terms = {k: v if type(v) is int else _norm_coeff(v) for k, v in out.items() if v}
         return res
 
     __rmul__ = __mul__
@@ -230,7 +244,11 @@ class PolyAux:
                     f"leading term a^{lead_r[0]} b^{lead_r[1]} is not divisible "
                     f"by a^{lead_d[0]} b^{lead_d[1]}"
                 )
-            coef = _norm_coeff(Fraction(rem[lead_r]) / lead_c)
+            r = rem[lead_r]
+            if type(r) is int and type(lead_c) is int and not r % lead_c:
+                coef = r // lead_c
+            else:
+                coef = _norm_coeff(Fraction(r) / lead_c)
             quo[(da, db)] = coef
             for (dda, ddb), c in divisor.terms.items():
                 key = (da + dda, db + ddb)
@@ -248,8 +266,9 @@ class PolyAux:
 
         The result is a PolyAux when neither value is a series, else an
         XSeries, whose every intermediate is checked against the degree
-        envelope of the series it was given.  This is the one place that
-        caches powers; :meth:`XSeries.substitute` calls it per coefficient.
+        envelope of the series it was given.  Each power of ``pa`` and ``pb``
+        is made once; :meth:`XSeries.substitute` shares its own power tables
+        across all coefficients instead.
 
         >>> a, b = PolyAux.var_a(), PolyAux.var_b()
         >>> print((a * a + b).compose(b, 2).to_str(("a", "b")))
@@ -261,22 +280,26 @@ class PolyAux:
             out = XSeries.zero(lifted.trunc, lifted.guard)
         else:
             out = PolyAux.zero()
-        # pow_a[e] = pa**e and pow_b[e] = pb**e, made on demand; 1 serves both types
-        pow_a: list = [1]
-        pow_b: list = [1]
+        tables: tuple[list, list] = ([1], [1])
+        for table, value, top in zip(tables, (pa, pb), self._aux_degrees()):
+            _extend_powers(table, value, top)
+        return self._compose(*tables, out)
 
-        def power(cache: list, base, e: int):
-            while len(cache) <= e:
-                cache.append(cache[-1] * base)
-            return cache[e]
-
+    def _compose(self, pow_a: list, pow_b: list, out: "XSeries | PolyAux") -> "XSeries | PolyAux":
+        """``out`` plus the terms c a^da b^db with pow_a[da] for a^da, pow_b[db] for b^db."""
         # sum over da of pa^da * (sum over db of c * pb^db): one product per da
         parts: dict[int, object] = {}
         for (da, db), c in self.terms.items():
-            parts[da] = parts.get(da, 0) + power(pow_b, pb, db) * c
+            term = pow_b[db] * c
+            parts[da] = parts[da] + term if da in parts else term
         for da, part in parts.items():
-            out = out + power(pow_a, pa, da) * part
+            out = out + (pow_a[da] * part if da else part)
         return out
+
+    def _aux_degrees(self) -> tuple[int, int]:
+        """Largest degree in a and largest degree in b; 0 for a constant."""
+        return (max((da for da, _ in self.terms), default=0),
+                max((db for _, db in self.terms), default=0))
 
     def evaluate(self, va: Coeff, vb: Coeff) -> Coeff:
         """Numeric value at the given aux values (exact)."""
@@ -327,8 +350,9 @@ class XSeries:
 
     __slots__ = ("trunc", "coeffs", "guard")
 
-    def __init__(self, coeffs: Iterable[PolyAux], trunc: int, guard: int = DEFAULT_GUARD):
-        self.coeffs = list(coeffs)
+    def __init__(self, coeffs: Iterable[PolyAux | Coeff], trunc: int, guard: int = DEFAULT_GUARD):
+        # int and Fraction coefficients become constants; anything else is a TypeError
+        self.coeffs = [c if type(c) is PolyAux else PolyAux.coerce(c) for c in coeffs]
         if len(self.coeffs) != trunc + 1:
             raise ValueError(f"need {trunc + 1} coefficients, got {len(self.coeffs)}")
         self.trunc = trunc
@@ -576,31 +600,69 @@ class XSeries:
 
         The composite is one Horner pass from the top coefficient down,
         ``result = result * sx + c.compose(sa, sb)``, so series products
-        are made only for series-valued aux variables.  The partial sum
-        made at coefficient k still has k multiplications by ``sx`` ahead,
-        so it, and every series that ``compose`` makes for that
-        coefficient, are checked against the envelope shifted by x^k,
-        2 (m + k) + guard; the result (k = 0) meets the plain envelope.
+        are made only for series-valued aux variables.  The powers of
+        ``sa`` and ``sb`` are made once per call, in tables that every
+        coefficient shares; a series power is made at the largest order
+        any coefficient uses it at.  What is made at coefficient k still
+        has k multiplications by ``sx`` ahead, and ``sx`` has no constant
+        term, so only its orders up to trunc - k reach the result: step k
+        pads the partial sum with one zero, multiplies it by ``sx``, and
+        composes coefficient k, all at order trunc - k.  The partial sum
+        of step k, the slice of each shared power it uses, and every
+        series that the composition makes are checked against the
+        envelope shifted by x^k, 2 (m + k) + guard; ``sx`` and the result
+        (k = 0) meet the plain envelope.
         """
         out_guard = self.guard if guard is None else guard
         trunc = min([self.trunc] + [s.trunc for s in (sx, sa, sb) if isinstance(s, XSeries)])
-        sx = XSeries.x(trunc, out_guard) if sx is None else sx.truncate(trunc).with_guard(out_guard)
-        if not sx.coeffs[0].is_zero():
-            raise ValueError("substitution for the main variable needs zero constant term")
+        if sx is not None:
+            sx = sx.truncate(trunc).with_guard(out_guard)
+            if not sx.coeffs[0].is_zero():
+                raise ValueError("substitution for the main variable needs zero constant term")
+        aux = tuple(
+            v if isinstance(v, (XSeries, int, Fraction)) else PolyAux.coerce(v)
+            for v in (PolyAux.var_a() if sa is None else sa, PolyAux.var_b() if sb is None else sb)
+        )
+        lifted = any(isinstance(v, XSeries) for v in aux)
+        degrees = [c._aux_degrees() for c in self.coeffs[: trunc + 1]]
 
-        aux = [PolyAux.var_a() if sa is None else sa, PolyAux.var_b() if sb is None else sb]
-        # fresh copies, so that the loop may set their guard
-        aux = [v.truncate(trunc) if isinstance(v, XSeries) else v for v in aux]
-        result = XSeries.zero(trunc, out_guard)
+        # tables[i][e] is aux[i]**e, made once for this call; a series power
+        # is made at the order trunc - k of the first coefficient k using it,
+        # under that step's envelope
+        tables: tuple[list, list] = ([1], [1])
+        for k, tops in enumerate(degrees):
+            for table, value, top in zip(tables, aux, tops):
+                if len(table) <= top:
+                    if isinstance(value, XSeries):
+                        value = XSeries(value.coeffs[: trunc - k + 1], trunc - k, out_guard + 2 * k)
+                    _extend_powers(table, value, top)
+
+        zero = PolyAux.zero()
+        partial: list[PolyAux] = []
         for k in range(trunc, -1, -1):
-            # what is made at coefficient k is still multiplied k times by
-            # sx; series products and sums take their operands' guard, so
-            # this checks each of them against the envelope shifted by x^k
-            for s in (result, *aux):
-                if isinstance(s, XSeries):
-                    s.guard = out_guard + 2 * k
-            result = result * sx + self.coeffs[k].compose(*aux)
-        return result
+            # what is made here is multiplied k more times by sx, which has
+            # no constant term: only orders up to trunc - k reach the result,
+            # and they meet the envelope shifted by x^k
+            order, step_guard = trunc - k, out_guard + 2 * k
+            if sx is None:
+                step = XSeries([zero] + partial, order, step_guard)
+            else:
+                step = XSeries(partial + [zero], order, step_guard) * XSeries(
+                    sx.coeffs[: order + 1], order, step_guard
+                )
+            views = [
+                [XSeries(p.coeffs[: order + 1], order, step_guard) if isinstance(p, XSeries) else p
+                 for p in table[: top + 1]]
+                for table, top in zip(tables, degrees[k])
+            ]
+            if lifted:
+                step = self.coeffs[k]._compose(*views, step)
+            else:
+                # step has no constant term, so the polynomial is its x^0 coefficient
+                term = self.coeffs[k]._compose(*views, zero)
+                step = XSeries([term] + step.coeffs[1:], order, step_guard)
+            partial = step.coeffs
+        return step
 
     # -- display -----------------------------------------------------------
 

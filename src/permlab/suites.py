@@ -257,6 +257,6 @@ SUITES = {
     "recurrences": Suite(check_recurrences, 9),
     "bijection": Suite(check_bijection, 8),
     "series": Suite(check_series, 9),
-    "systems": Suite(check_systems, 8),
+    "systems": Suite(check_systems, 20),
     "inversion": Suite(check_inversion, 9),
 }

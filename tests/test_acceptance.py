@@ -125,8 +125,8 @@ def test_criterion_07_series_suite():
 
 def test_criterion_08_functional_equation_systems():
     _gate(
-        8, "all four functional-equation systems have zero residual at depth 8",
-        suites.check_systems, 8, 300,
+        8, "all four functional-equation systems have zero residual at depth 20",
+        suites.check_systems, 20, 300,
     )
 
 

@@ -60,6 +60,60 @@ def test_divexact_inverts_multiplication(p, q):
     assert (p * q).divexact(q) == p
 
 
+mixed_coeff_st = st.one_of(
+    coeff_st, st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+mixed_terms_st = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    mixed_coeff_st,
+    max_size=4,
+)
+
+
+def reference_sum(p, q):
+    out = {k: Fraction(v) for k, v in p.items()}
+    for k, v in q.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_product(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, Fraction(0)) + Fraction(c1) * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def assert_normal_form(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_terms_st, mixed_terms_st, mixed_coeff_st)
+def test_polyaux_arithmetic_keeps_the_normal_form(p_terms, q_terms, scalar):
+    p, q = PolyAux(p_terms), PolyAux(q_terms)
+    minus_q = {k: -v for k, v in q_terms.items()}
+    cases = [
+        (p + q, reference_sum(p_terms, q_terms)),
+        (p - q, reference_sum(p_terms, minus_q)),
+        (p * q, reference_product(p_terms, q_terms)),
+        (p * scalar, reference_product(p_terms, {(0, 0): scalar})),
+        (scalar * p, reference_product(p_terms, {(0, 0): scalar})),
+        (p + scalar, reference_sum(p_terms, {(0, 0): scalar})),
+    ]
+    for got, want in cases:
+        assert_normal_form(got)
+        assert got.terms == want
+    if not q.is_zero():
+        quo = (p * q).divexact(q)
+        assert_normal_form(quo)
+        assert quo == p
+
+
 def test_divexact_raises_on_inexact():
     a, b = PolyAux.var_a(), PolyAux.var_b()
     with pytest.raises(InexactDivisionError):
@@ -85,6 +139,15 @@ def test_evaluate():
 # ---------------------------------------------------------------------------
 # XSeries
 # ---------------------------------------------------------------------------
+
+def test_xseries_takes_numbers_as_constant_coefficients():
+    a, z = PolyAux.var_a(), PolyAux.zero()
+    assert XSeries([0, 0, a**6], 2, guard=8) == XSeries([z, z, a**6], 2)
+    assert XSeries([Fraction(1, 2), 3], 1).coeffs == [PolyAux.const(Fraction(1, 2)), PolyAux.const(3)]
+    for bad in (0.5, "a", None):
+        with pytest.raises(TypeError):
+            XSeries([bad, z], 1)
+
 
 def xs(vals, trunc=None, guard=12):
     trunc = len(vals) - 1 if trunc is None else trunc
@@ -185,9 +248,7 @@ small_poly_st = st.builds(
 
 
 def small_series(draw, trunc, valuation=0):
-    coeffs = [PolyAux.zero()] * valuation + [
-        draw(small_poly_st) for _ in range(trunc + 1 - valuation)
-    ]
+    coeffs = [PolyAux.zero() if m < valuation else draw(small_poly_st) for m in range(trunc + 1)]
     return XSeries(coeffs, trunc, SUB_GUARD)
 
 
@@ -206,7 +267,9 @@ def substitute_by_definition(s, sx, sa, sb):
     return total
 
 
-@pytest.mark.parametrize("kind", ["aux-only", "x-to-cx", "series-x", "series-aux"])
+@pytest.mark.parametrize(
+    "kind", ["aux-only", "x-to-cx", "series-x", "series-x-valuation-2", "series-aux", "kernel-method"]
+)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_substitute_matches_its_definition(kind, data):
@@ -218,11 +281,29 @@ def test_substitute_matches_its_definition(kind, data):
         sx = XSeries.monomial(data.draw(small_poly_st), 1, trunc, SUB_GUARD)
     elif kind == "series-x":
         sx = small_series(data.draw, trunc, valuation=1)
+    elif kind == "series-x-valuation-2":
+        sx = small_series(data.draw, trunc, valuation=data.draw(st.integers(2, 3)))
     elif kind == "series-aux":
         if data.draw(st.booleans()):
             sx = small_series(data.draw, trunc, valuation=1)
         sa, sb = small_series(data.draw, trunc), small_series(data.draw, trunc)
+    elif kind == "kernel-method":
+        # like x -> vwx/(1 - vwx), v -> 1 - vwx, w -> vw/(1 - vwx): all three series
+        sx = small_series(data.draw, trunc, valuation=1)
+        sa, sb = small_series(data.draw, trunc), small_series(data.draw, trunc)
     assert s.substitute(sx, sa, sb) == substitute_by_definition(s, sx, sa, sb)
+
+
+def test_substitutions_with_different_aux_series_share_no_powers():
+    a, b = PolyAux.var_a(), PolyAux.var_b()
+    s = XSeries([a * b, a**2 * b, a**3 + b**2, a * b**3], 3, SUB_GUARD)
+    x = XSeries.x(3, SUB_GUARD)
+    first = XSeries([1, 1, 1, 1], 3, SUB_GUARD)
+    second = XSeries([1, 1, 2, 3], 3, SUB_GUARD)  # equal to the first through x^1
+    for sa, sb in ((first, second), (second, first), (first, first), (second, second)):
+        got = s.substitute(x * 2, sa, sb)
+        assert got == substitute_by_definition(s, x * 2, sa, sb)
+    assert s.substitute(sa=first, sb=1) != s.substitute(sa=second, sb=1)
 
 
 def test_substitute_respects_a_narrow_guard():
@@ -247,6 +328,21 @@ def test_substitute_checks_partial_sums_against_the_shifted_envelope():
     # the same a^6 at x^0 really exceeds the envelope 4
     with pytest.raises(AuxDegreeError):
         XSeries([a**6, z, z], 2, guard=8).substitute(sb=1, guard=4)
+
+
+def test_a_power_over_the_envelope_of_a_later_coefficient_raises():
+    # c = (a - a b) + a x with a -> a^5 and b -> 1 is a^5 x, within 2 + 4;
+    # the power a^5 fits the envelope 4 + 2 of x^1, but x^0 uses it too,
+    # under the envelope 4, and there it is refused
+    a, b = PolyAux.var_a(), PolyAux.var_b()
+    c = XSeries([a - a * b, a], 1, guard=8)
+    a5 = XSeries.constant(a**5, 1, SUB_GUARD)
+    with pytest.raises(AuxDegreeError):
+        c.substitute(sa=a5, sb=1, guard=4)
+    # without the x^0 use the same power is accepted
+    assert XSeries([PolyAux.zero(), a], 1, guard=8).substitute(sa=a5, sb=1, guard=4) == (
+        XSeries.monomial(a**5, 1, 1)
+    )
 
 
 def test_aux_degree_envelope():
