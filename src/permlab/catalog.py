@@ -7,8 +7,9 @@ permutations of length 8 in the class by first letter.  Entries flagged
 ``"triangle"`` have censuses equal to row 8 of the Schroeder triangle (the
 classes whose refinement the rest of the package studies); entries flagged
 ``"reversed"`` are their mirror images under complementation, with the same
-census read backwards.  :func:`diff_catalog` recomputes any subset by brute
-force and reports disagreements.
+census read backwards.  :func:`diff_catalog` recomputes any subset with the
+exact census of :func:`permlab.perms.first_letter_distribution` and reports
+disagreements.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def entries(flag: str | None = None) -> tuple[CatalogEntry, ...]:
 
 
 def recompute_entry(entry: CatalogEntry, n: int = REFERENCE_N) -> list[int]:
-    """Brute-force census for one entry (defaults to the reference size)."""
+    """Exact first-letter census for one entry (defaults to the reference
+    size), counted over collapsed prefix states, not avoider by avoider."""
     return first_letter_distribution(n, entry.pair)
 
 

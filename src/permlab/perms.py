@@ -13,7 +13,9 @@ True
 >>> first_letter_distribution(4, parse_pair("1234,1243"))
 [4, 6, 6, 6]
 
-The exhaustive walks live in :mod:`permlab.kernels`; everything here is a
+The exhaustive counts live in :mod:`permlab.kernels`: a prefix walk that
+lists avoiders, and a counter over collapsed prefix states that gives the
+first-letter and (first, second)-letter censuses.  Everything here is a
 thin typed shell that validates input, enforces the size cap, and converts
 the kernels' count arrays to plain lists and tables.
 """
@@ -302,7 +304,8 @@ def _check_pair(pair: Pair) -> Pair:
 
 
 def first_second_distribution(n: int, pair: Pair) -> DistributionTable:
-    """Exhaustive census of avoiders of `pair` by first and second letter."""
+    """Exact census of avoiders of `pair` by first and second letter,
+    counted over collapsed prefix states (:func:`permlab.kernels.census_pair`)."""
     check_cap(n)
     if n == 0:
         return DistributionTable(0, (tuple([0]),))
@@ -312,7 +315,8 @@ def first_second_distribution(n: int, pair: Pair) -> DistributionTable:
 
 
 def first_letter_distribution(n: int, pair: Pair) -> list[int]:
-    """Exhaustive count of avoiders of `pair` with each first letter 1..n."""
+    """Exact count of avoiders of `pair` with each first letter 1..n,
+    counted over collapsed prefix states (:func:`permlab.kernels.census_pair`)."""
     check_cap(n)
     if n == 0:
         return []

@@ -1,9 +1,14 @@
-"""The enumeration kernels against oracles that share none of their code.
+"""The enumeration kernels against oracles that share none of their code,
+and the state counter behind ``census_pair`` against the walk.
 
 The oracle lists S_n with ``itertools.permutations`` and tests every
 permutation against every 4-letter pattern with :func:`permlab.perms.contains`;
 the kernels never test a finished permutation at all, they only forbid
-values while a prefix grows.
+values while a prefix grows (the walk) or merge gaps between unused values
+(the counter).  The oracle runs up to n = 7.  Above it the counter is
+checked cell for cell against a census counted leaf by leaf from
+``kernels._walk``; the two share :func:`permlab.kernels._rules`, so that
+check tests each one's code, and the oracle stays the independent anchor.
 """
 
 from __future__ import annotations
@@ -69,8 +74,60 @@ def test_census_pair_matches_oracle_on_catalog_at_7():
         _assert_census(7, entry.pair)
 
 
+def _walk_census(n, pair):
+    """``census_pair``'s two tables as plain lists, counted leaf by leaf."""
+    first = [0] * n
+    cells = [[0] * (n + 1) for _ in range(n + 1)]
+    for p in kernels._walk(n, *pair):
+        first[p[0] - 1] += 1
+        if n > 1:
+            cells[p[0]][p[1]] += 1
+    return first, cells
+
+
+def _assert_matches_walk(n, pair):
+    first, cells = kernels.census_pair(n, *pair)
+    assert (first.tolist(), cells.tolist()) == _walk_census(n, pair), (n, pair)
+
+
+@pytest.mark.parametrize("head", PATTERNS[:-1], ids=lambda p: "".join(map(str, p)))
+def test_census_pair_matches_walk(head):
+    for pair in ALL_PAIRS:
+        if pair[0] == head:
+            for n in range(1, 8):
+                _assert_matches_walk(n, pair)
+
+
+def test_census_pair_matches_walk_on_catalog_at_8():
+    for entry in CATALOG:
+        _assert_matches_walk(8, entry.pair)
+
+
+def test_census_pair_memo_lives_for_one_call():
+    # a memo kept across calls would hand one pair's or size's counts to the
+    # next call that meets an equal key
+    calls = [(n, pair) for n in (6, 5, 6, 4, 6) for pair in ALL_PAIRS[::23]]
+    calls += calls[::-3]
+    for n, pair in calls:
+        _assert_census(n, pair)
+
+
+def test_walk_closes_at_sizes_one_and_two():
+    # the walk places the last value from depth n - 2; n = 1 has no such depth
+    for pair in ALL_PAIRS[::37]:
+        assert [list(p) for p in kernels._walk(1, *pair)] == [[1]]
+        assert [list(p) for p in kernels._walk(2, *pair)] == [[1, 2], [2, 1]]
+        out = []
+        assert kernels.fill_avoiders(2, *pair, out) == 2
+        assert out == [(1, 2), (2, 1)]
+        first, cells = kernels.census_pair(2, *pair)
+        assert first.tolist() == [1, 1]
+        assert cells.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+        assert kernels.active_census(1, *pair).tolist() == [[0, 0, 0], [0, 0, 1]]
+
+
 def test_fill_avoiders_matches_oracle():
-    for pair in ALL_PAIRS[::11]:
+    for pair in ALL_PAIRS:
         for n in range(1, 7):
             out = [("sentinel",)]
             count = kernels.fill_avoiders(n, *pair, out)
